@@ -6,7 +6,7 @@ GraSP, SynFlow), dense-to-sparse (STR-proximal), dynamic sparse training
 extra 250-epoch DST-EE row is reproduced as a longer-budget run
 (``extended_epochs``).
 
-Shape checks (not absolute numbers — see EXPERIMENTS.md):
+Shape checks (not absolute numbers):
 * DST-EE is the best dynamic-sparse method in the large majority of cells;
 * the extended-budget DST-EE row improves on the standard one.
 """

@@ -1,9 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md §4).
-Tables are printed to stdout *and* written to ``benchmarks/results/``, so the
-numbers survive pytest's output capture; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+Every bench regenerates one table or figure of the paper.  Tables are
+printed to stdout *and* written to ``benchmarks/results/``, so the numbers
+survive pytest's output capture.
 
 Scale is controlled by the ``REPRO_SCALE`` environment variable
 (``small``/``medium``/``full`` — see :mod:`repro.experiments.configs`).

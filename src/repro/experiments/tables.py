@@ -1,8 +1,7 @@
 """Plain-text table formatting for the benchmark harness output.
 
 The benches print rows in the same arrangement as the paper's tables so the
-shapes (who wins, by how much) can be compared side by side with
-EXPERIMENTS.md.
+shapes (who wins, by how much) can be compared side by side with the paper.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The deployment half of the reproduction (ROADMAP north star: serve the
 compiled sparse models, not just train them).  The pipeline is::
 
     train (MaskedModel + DST-EE)
-      -> compile_sparse_model            # repro.sparse.inference, CSR kernels
+      -> compile_sparse_model            # repro.sparse.inference, sparse kernels
       -> export_model(...)               # versioned, fingerprinted artifact
       -> load_model / Server             # in-process predict + micro-batching
       -> ServingPool / make_http_server  # multi-process + JSON frontend

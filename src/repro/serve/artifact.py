@@ -3,10 +3,12 @@
 An artifact is the unit that leaves the training side and enters the
 serving side.  It stores, in a single compressed ``.npz``:
 
-* the CSR components (``data``/``indices``/``indptr`` + bias) of every
+* the stored parts (``data``/``indices``/``indptr`` + bias) of every
   compiled :class:`~repro.sparse.inference.SparseLinear` /
-  :class:`~repro.sparse.inference.SparseConv2d` layer — at the paper's
-  90–98% sparsities this is a fraction of the dense weight bytes;
+  :class:`~repro.sparse.inference.SparseConv2d` layer — the CSR triplet at
+  block size 1, ``(nnzb, B, B)`` tiles with block ``indices``/``indptr``
+  above it; at the paper's 90–98% sparsities this is a fraction of the
+  dense weight bytes;
 * the dense state of everything that stayed dense (biases were folded into
   the layer records; batch-norm parameters and running stats, unmasked
   layers);
@@ -36,13 +38,7 @@ import numpy as np
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.serve.preprocess import Preprocessor
-from repro.sparse.inference import (
-    BlockSparseConv2d,
-    BlockSparseLinear,
-    SparseConv2d,
-    SparseLinear,
-    compile_sparse_model,
-)
+from repro.sparse.inference import SparseConv2d, SparseLinear, compile_sparse_model
 from repro.sparse.masked import MaskedModel
 from repro.train.checkpoint import (
     atomic_write_bytes,
@@ -78,68 +74,27 @@ def _pair(value) -> list[int]:
 def _layer_records(model: Module) -> list[dict]:
     records: list[dict] = []
     for name, module in model.named_modules():
-        if isinstance(module, BlockSparseLinear):
-            matrix = module.weight_bsr
-            records.append(
-                {
-                    "name": name,
-                    "type": "linear",
-                    "block_size": module.block_size,
-                    "in_features": module.in_features,
-                    "out_features": module.out_features,
-                    "data": matrix.data,
-                    "indices": matrix.indices,
-                    "indptr": matrix.indptr,
-                    "bias": module.bias_data,
-                }
-            )
-        elif isinstance(module, BlockSparseConv2d):
-            matrix = module.weight_bsr
-            records.append(
-                {
-                    "name": name,
-                    "type": "conv2d",
-                    "block_size": module.block_size,
-                    "in_channels": module.in_channels,
-                    "out_channels": module.out_channels,
-                    "kernel_size": list(module.kernel_size),
-                    "stride": _pair(module.stride),
-                    "padding": _pair(module.padding),
-                    "data": matrix.data,
-                    "indices": matrix.indices,
-                    "indptr": matrix.indptr,
-                    "bias": module.bias_data,
-                }
-            )
-        elif isinstance(module, SparseLinear):
-            records.append(
-                {
-                    "name": name,
-                    "type": "linear",
-                    "in_features": module.in_features,
-                    "out_features": module.out_features,
-                    "data": module.weight_csr.data,
-                    "indices": module.weight_csr.indices,
-                    "indptr": module.weight_csr.indptr,
-                    "bias": module.bias_data,
-                }
-            )
+        if isinstance(module, SparseLinear):
+            kind = "linear"
+            shape = {"in_features": module.in_features, "out_features": module.out_features}
         elif isinstance(module, SparseConv2d):
-            records.append(
-                {
-                    "name": name,
-                    "type": "conv2d",
-                    "in_channels": module.in_channels,
-                    "out_channels": module.out_channels,
-                    "kernel_size": list(module.kernel_size),
-                    "stride": _pair(module.stride),
-                    "padding": _pair(module.padding),
-                    "data": module.weight_csr.data,
-                    "indices": module.weight_csr.indices,
-                    "indptr": module.weight_csr.indptr,
-                    "bias": module.bias_data,
-                }
-            )
+            kind = "conv2d"
+            shape = {
+                "in_channels": module.in_channels,
+                "out_channels": module.out_channels,
+                "kernel_size": list(module.kernel_size),
+                "stride": _pair(module.stride),
+                "padding": _pair(module.padding),
+            }
+        else:
+            continue
+        record = {"name": name, "type": kind}
+        # Block-size-1 records omit the key (read back as the default 1).
+        if module.block_size > 1:
+            record["block_size"] = module.block_size
+        data, indices, indptr = module.stored_parts()
+        record.update(shape, data=data, indices=indices, indptr=indptr, bias=module.bias_data)
+        records.append(record)
     return records
 
 
@@ -302,57 +257,26 @@ def load_model(path, verify: bool = True) -> LoadedModel:
     model = build_model(config["builder"], **dict(config.get("kwargs", {})))
 
     for record in state["layers"]:
-        block_size = int(record.get("block_size", 1))
+        parts = (record["data"], record["indices"], record["indptr"])
+        options = {
+            "bias": record["bias"],
+            "copy": False,
+            "block_size": int(record.get("block_size", 1)),
+        }
         if record["type"] == "linear":
-            if block_size > 1:
-                replacement = BlockSparseLinear.from_bsr(
-                    record["in_features"],
-                    record["out_features"],
-                    block_size,
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-            else:
-                replacement = SparseLinear.from_csr(
-                    record["in_features"],
-                    record["out_features"],
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
+            replacement = SparseLinear.from_csr(
+                record["in_features"], record["out_features"], *parts, **options
+            )
         elif record["type"] == "conv2d":
-            if block_size > 1:
-                replacement = BlockSparseConv2d.from_bsr(
-                    record["in_channels"],
-                    record["out_channels"],
-                    tuple(record["kernel_size"]),
-                    tuple(record["stride"]),
-                    tuple(record["padding"]),
-                    block_size,
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-            else:
-                replacement = SparseConv2d.from_csr(
-                    record["in_channels"],
-                    record["out_channels"],
-                    tuple(record["kernel_size"]),
-                    tuple(record["stride"]),
-                    tuple(record["padding"]),
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
+            replacement = SparseConv2d.from_csr(
+                record["in_channels"],
+                record["out_channels"],
+                tuple(record["kernel_size"]),
+                tuple(record["stride"]),
+                tuple(record["padding"]),
+                *parts,
+                **options,
+            )
         else:
             raise ArtifactError(f"unknown artifact layer type {record['type']!r}")
         _replace_module(model, record["name"], replacement)

@@ -2,9 +2,9 @@
 
 One Python process can only push one core's worth of CSR matmuls.  The pool
 forks ``n_workers`` serving processes that all read the *same* physical
-copy of the compiled weights: the parent packs every sparse layer's CSR
-components (both orientations) and bias into a single
-:class:`~repro.parallel.shm.SharedArena`, re-points the layer matrices at
+copy of the compiled weights: the parent packs the CSR arrays every sparse
+layer's kernel reads, and its bias, into a single
+:class:`~repro.parallel.shm.SharedArena`, re-points the layer kernels at
 read-only views of it, and forks.  At the paper's 90–98% sparsities the
 arena is a fraction of the dense weight bytes, and the workers add no
 per-process weight copies at all — the scaling cost of one more worker is
@@ -49,34 +49,37 @@ from repro.sparse.inference import SparseConv2d, SparseLinear
 
 __all__ = ["ServingPool", "share_model_weights", "unshare_model_weights"]
 
+# The element-level CSR arrays a compiled layer's kernel reads per forward.
+_KERNEL_ARRAYS = ("data", "indices", "indptr")
+
+
+def _compiled_layers(model: Module):
+    for name, module in model.named_modules():
+        if isinstance(module, (SparseLinear, SparseConv2d)):
+            yield name, module
+
 
 def share_model_weights(model: Module) -> SharedArena | None:
     """Move every compiled layer's weight arrays into one shared arena.
 
-    The layers' scipy matrices are re-pointed at read-only arena views in
-    place; the returned arena owns the segment (``close`` it when done).
-    Returns ``None`` when the model has no compiled sparse layers.
+    Each layer's kernel is re-pointed in place at read-only arena views of
+    the arrays its product reads; the returned arena owns the segment
+    (``close`` it when done).  Returns ``None`` when the model has no
+    compiled sparse layers.
     """
     packed: dict[str, np.ndarray] = {}
-    layers: list[tuple[str, Module]] = []
-    for name, module in model.named_modules():
-        if not isinstance(module, (SparseLinear, SparseConv2d)):
-            continue
-        layers.append((name, module))
-        for orient, matrix in module.shared_matrices():
-            packed[f"{name}.{orient}.data"] = matrix.data
-            packed[f"{name}.{orient}.indices"] = matrix.indices
-            packed[f"{name}.{orient}.indptr"] = matrix.indptr
+    layers = list(_compiled_layers(model))
+    for name, module in layers:
+        for key in _KERNEL_ARRAYS:
+            packed[f"{name}.{key}"] = getattr(module.matmul, key)
         if module.bias_data is not None:
             packed[f"{name}.bias"] = module.bias_data
     if not layers:
         return None
     arena = SharedArena(packed, readonly=True)
     for name, module in layers:
-        for orient, matrix in module.shared_matrices():
-            matrix.data = arena.view(f"{name}.{orient}.data")
-            matrix.indices = arena.view(f"{name}.{orient}.indices")
-            matrix.indptr = arena.view(f"{name}.{orient}.indptr")
+        for key in _KERNEL_ARRAYS:
+            setattr(module.matmul, key, arena.view(f"{name}.{key}"))
         if module.bias_data is not None:
             module.bias_data = arena.view(f"{name}.bias")
     return arena
@@ -86,17 +89,13 @@ def unshare_model_weights(model: Module) -> None:
     """Give every compiled layer back private copies of its weight arrays.
 
     Must run before the backing arena's ``close()``: that unmaps the shared
-    segment, and any scipy matrix still pointing into it would fault on
-    next use.  Copying unconditionally is deliberate — it is correct (and
-    cheap at serving sparsities) whether or not a given array is a view.
+    segment, and any kernel still pointing into it would fault on next
+    use.  Copying unconditionally is deliberate — it is correct (and cheap
+    at serving sparsities) whether or not a given array is a view.
     """
-    for _, module in model.named_modules():
-        if not isinstance(module, (SparseLinear, SparseConv2d)):
-            continue
-        for _orient, matrix in module.shared_matrices():
-            matrix.data = np.array(matrix.data, copy=True)
-            matrix.indices = np.array(matrix.indices, copy=True)
-            matrix.indptr = np.array(matrix.indptr, copy=True)
+    for _, module in _compiled_layers(model):
+        for key in _KERNEL_ARRAYS:
+            setattr(module.matmul, key, np.array(getattr(module.matmul, key), copy=True))
         if module.bias_data is not None:
             module.bias_data = np.array(module.bias_data, copy=True)
 

@@ -58,8 +58,6 @@ from repro.sparse.admm import ADMMPruner, project_topk
 from repro.sparse.io import load_sparse_checkpoint, save_sparse_checkpoint
 from repro.sparse.gap import GaPController
 from repro.sparse.inference import (
-    BlockSparseConv2d,
-    BlockSparseLinear,
     SparseConv2d,
     SparseLinear,
     compile_sparse_model,
@@ -124,8 +122,6 @@ __all__ = [
     "GaPController",
     "SparseLinear",
     "SparseConv2d",
-    "BlockSparseLinear",
-    "BlockSparseConv2d",
     "compile_sparse_model",
     "sparse_storage_bytes",
     "CsrMatmul",

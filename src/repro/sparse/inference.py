@@ -1,17 +1,22 @@
-"""Compiled sparse inference: turn a trained MaskedModel into CSR kernels.
+"""Compiled sparse inference: turn a trained MaskedModel into sparse kernels.
 
 Table II reports inference FLOPs of the sparse models; this module makes
 those savings *runnable*: after training, :func:`compile_sparse_model`
 swaps every masked :class:`~repro.nn.Linear` / :class:`~repro.nn.Conv2d`
-for an inference-only replacement whose weight is stored in scipy CSR form,
-so the matrix products skip zeros entirely.  At the paper's 90–98%
-sparsities this is both smaller (CSR storage ∝ non-zeros) and, for large
-enough layers, faster than the dense kernels.
+for an inference-only :class:`SparseLinear` / :class:`SparseConv2d` whose
+weight lives in a frozen :class:`~repro.sparse.kernels.BsrMatmul` — the
+same block-CSR kernel the training backends run, at the layer's trained
+``block_size`` (1 for element masks).  The forward is one direct
+``csr_matvecs`` call per layer (``W @ x.T``, sparse operand on the left),
+so storage is ∝ non-zeros and no transposed copy of ``W`` is kept.
 
-The matmuls route through the same :class:`~repro.sparse.kernels.CsrMatmul`
-helper as the training backends: the transposed CSR structure is
-precomputed once, so ``x @ W.T`` runs as a single sparse product with one
-contiguous output — no double-transpose copy of either operand's result.
+Serialized form (:mod:`repro.serve.artifact`): a block-size-1 layer stores
+its CSR triplet ``(data, indices, indptr)`` exactly as the kernel reads
+it; a block layer stores ``(nnzb, B, B)`` tiles with block
+``indices``/``indptr`` and is expanded to the kernel's element-level CSR
+at load.  The structure of a block layer comes from its trained mask, so
+an active tile whose weights are all zero stays stored; a block-size-1
+layer stores its non-zero values.
 
 Compiled modules are inference-only: they raise if the model is in
 training mode, and they do not participate in autograd.
@@ -20,70 +25,147 @@ training mode, and they do not participate in autograd.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import nn
 from repro.autograd.conv import _im2col
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
-from repro.sparse.kernels import CsrMatmul
+from repro.sparse.blocks import expand_block_csr
+from repro.sparse.kernels import BsrMatmul
 from repro.sparse.masked import MaskedModel
 
 __all__ = [
     "SparseLinear",
     "SparseConv2d",
-    "BlockSparseLinear",
-    "BlockSparseConv2d",
     "compile_sparse_model",
     "sparse_storage_bytes",
 ]
 
 
-def _frozen_matmul(weight2d: np.ndarray) -> CsrMatmul:
-    """Mask-structured CSR pair for a fixed (already masked) 2-D weight."""
-    matmul = CsrMatmul(weight2d.shape)
-    flat = np.ascontiguousarray(weight2d, dtype=np.float32).reshape(-1)
-    matmul.sync(flat, np.flatnonzero(flat != 0.0), version=0)
-    return matmul
+def _compile_matmul(weight2d: np.ndarray, block_size: int, active_blocks=None) -> BsrMatmul:
+    """Frozen kernel for a fixed (already masked) 2-D weight.
 
-
-def _frozen_bsr(
-    weight2d: np.ndarray, block_size: int, active_blocks: np.ndarray
-) -> "sp.bsr_matrix":
-    """BSR matrix for a fixed 2-D weight with a known active-block set.
-
-    The structure comes from the *mask*, not from the values: an active
-    block whose weights happen to all be zero stays stored, so the
-    export/load round-trip preserves the trained block pattern exactly.
+    Block layers keep every tile of ``active_blocks``; at block size 1 the
+    structure is the weight's non-zeros.
     """
     rows, cols = weight2d.shape
     b = int(block_size)
-    block_rows, block_cols = rows // b, cols // b
-    blocks = np.asarray(active_blocks, dtype=np.int64)
-    brow, bcol = np.divmod(blocks, block_cols)
-    tiles = np.ascontiguousarray(
-        np.asarray(weight2d, dtype=np.float32)
-        .reshape(block_rows, b, block_cols, b)
-        .transpose(0, 2, 1, 3)[brow, bcol]
+    flat = np.ascontiguousarray(weight2d, dtype=np.float32).reshape(-1)
+    active = np.flatnonzero(flat) if b == 1 else active_blocks
+    indptr, indices, erows = expand_block_csr(active, rows // b, cols // b, b)
+    return BsrMatmul.frozen((rows, cols), b, flat[erows * cols + indices], indices, indptr)
+
+
+def _tile_slots(indptr: np.ndarray, brow: np.ndarray, first: np.ndarray, b: int) -> np.ndarray:
+    """Element-CSR slot of every tile value, in ``(tile, row, col)`` order.
+
+    ``brow`` is each tile's block row and ``first`` the slot offset of its
+    top-left value within its first element row.
+    """
+    i = np.arange(b)
+    starts = indptr[brow[:, None] * b + i[None, :]] + first[:, None]
+    return (starts[:, :, None] + i[None, None, :]).reshape(-1)
+
+
+def _load_matmul(shape2d, block_size: int, data, indices, indptr, copy: bool) -> BsrMatmul:
+    """Frozen kernel from stored parts (CSR triplet, or tiles when ``B > 1``).
+
+    At block size 1 with ``copy=False`` the kernel reads the caller's
+    arrays (e.g. views into a shared-memory weight arena); block layers
+    always expand into fresh element-level arrays.
+    """
+    b = int(block_size)
+    data = np.asarray(data, dtype=np.float32)
+    indices = np.asarray(indices, dtype=np.int32)
+    indptr = np.asarray(indptr, dtype=np.int32)
+    if b == 1:
+        if copy:
+            data, indices, indptr = data.copy(), indices.copy(), indptr.copy()
+        return BsrMatmul.frozen(shape2d, 1, data, indices, indptr)
+    block_rows, block_cols = shape2d[0] // b, shape2d[1] // b
+    brow = np.repeat(np.arange(block_rows), np.diff(indptr))
+    elem_indptr, elem_indices, _ = expand_block_csr(
+        brow * block_cols + indices, block_rows, block_cols, b
     )
-    indptr = np.zeros(block_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(brow, minlength=block_rows), out=indptr[1:])
-    return sp.bsr_matrix(
-        (tiles, bcol.astype(np.int32), indptr), shape=(rows, cols), blocksize=(b, b)
-    )
+    rank = np.arange(brow.size) - indptr[brow]
+    elem_data = np.empty(elem_indices.size, dtype=np.float32)
+    elem_data[_tile_slots(elem_indptr, brow, rank * b, b)] = data.reshape(-1)
+    return BsrMatmul.frozen(shape2d, b, elem_data, elem_indices, elem_indptr)
 
 
-class SparseLinear(Module):
-    """Inference-only linear layer with a CSR weight matrix."""
+def _stored_parts(matmul: BsrMatmul) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_load_matmul`: the parts an artifact stores."""
+    b = matmul.block_size
+    if b == 1:
+        return matmul.data, matmul.indices, matmul.indptr
+    rows = matmul.shape2d[0]
+    indptr, indices = matmul.indptr, matmul.indices
+    erows = np.repeat(np.arange(rows), np.diff(indptr))
+    # A tile's top-left value sits at an element row and column that are
+    # both multiples of B; in CSR order those slots come in block-id order.
+    top = np.flatnonzero((erows % b == 0) & (indices % b == 0))
+    brow = erows[top] // b
+    tiles = matmul.data[_tile_slots(indptr, brow, top - indptr[erows[top]], b)]
+    block_indptr = np.zeros(rows // b + 1, dtype=np.int32)
+    np.cumsum(np.bincount(brow, minlength=rows // b), out=block_indptr[1:])
+    return tiles.reshape(-1, b, b), indices[top] // b, block_indptr
 
-    def __init__(self, dense: nn.Linear):
+
+class _CompiledLayer(Module):
+    """Shared state of a compiled layer: a frozen kernel plus its bias."""
+
+    matmul: BsrMatmul
+    bias_data: np.ndarray | None
+
+    @property
+    def block_size(self) -> int:
+        return self.matmul.block_size
+
+    @property
+    def nnz(self) -> int:
+        return int(self.matmul.data.size)
+
+    def stored_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` as an artifact stores them: the CSR
+        triplet at block size 1, ``(nnzb, B, B)`` tiles with block
+        ``indices``/``indptr`` above it."""
+        return _stored_parts(self.matmul)
+
+    def _product(self, x_t: np.ndarray) -> np.ndarray:
+        """``W @ x_t + bias`` into a fresh ``(rows, N)`` array.
+
+        Fresh per call: serving holds results across calls, and several
+        threads (a router canary and the batch thread) may share a model.
+        """
+        rows, cols = self.matmul.shape2d
+        if x_t.shape[0] != cols:
+            raise ValueError(
+                f"{type(self).__name__} expects {cols} input features per column, "
+                f"got {x_t.shape[0]}"
+            )
+        # csr_matvecs reads raw float32 memory, so cast and lay out first.
+        x_t = np.ascontiguousarray(x_t, dtype=np.float32)
+        out = np.empty((rows, x_t.shape[1]), dtype=np.float32)
+        return self.matmul.matmul_wx(x_t, self.bias_data, out=out)
+
+    def _check_eval(self) -> None:
+        if self.training:
+            raise RuntimeError(f"{type(self).__name__} is inference-only; call model.eval()")
+
+
+def _bias(bias) -> np.ndarray | None:
+    return None if bias is None else np.array(bias, dtype=np.float32, copy=True)
+
+
+class SparseLinear(_CompiledLayer):
+    """Inference-only linear layer over a frozen block-CSR weight."""
+
+    def __init__(self, dense: nn.Linear, block_size: int = 1, active_blocks=None):
         super().__init__()
         self.in_features = dense.in_features
         self.out_features = dense.out_features
-        self._matmul = _frozen_matmul(dense.weight.data)
-        self.weight_csr = self._matmul.csr
-        self.weight_csr_t = self._matmul.csr_t
-        self.bias_data = None if dense.bias is None else dense.bias.data.copy()
+        self.matmul = _compile_matmul(dense.weight.data, block_size, active_blocks)
+        self.bias_data = _bias(None if dense.bias is None else dense.bias.data)
 
     @classmethod
     def from_csr(
@@ -95,55 +177,46 @@ class SparseLinear(Module):
         indptr: np.ndarray,
         bias: np.ndarray | None = None,
         copy: bool = True,
+        block_size: int = 1,
     ) -> "SparseLinear":
-        """Rebuild a compiled layer from stored CSR components.
+        """Rebuild a compiled layer from its :meth:`stored_parts`.
 
-        Serving-artifact round-trip hook: with ``copy=False`` the weight
-        matrix aliases the caller's arrays (e.g. read-only views into a
-        shared-memory arena), so multiple serving workers share one copy.
+        Serving-artifact round-trip hook: at block size 1 with
+        ``copy=False`` the kernel reads the caller's arrays (e.g. read-only
+        views into a shared-memory arena), so multiple serving workers
+        share one copy.
         """
         layer = cls.__new__(cls)
         Module.__init__(layer)
         layer.in_features = int(in_features)
         layer.out_features = int(out_features)
-        layer._matmul = CsrMatmul.from_parts(
-            (layer.out_features, layer.in_features), data, indices, indptr, copy=copy
+        layer.matmul = _load_matmul(
+            (layer.out_features, layer.in_features), block_size, data, indices, indptr, copy
         )
-        layer.weight_csr = layer._matmul.csr
-        layer.weight_csr_t = layer._matmul.csr_t
-        layer.bias_data = None if bias is None else np.array(bias, dtype=np.float32, copy=True)
+        layer.bias_data = _bias(bias)
         layer.eval()
         return layer
 
-    @property
-    def nnz(self) -> int:
-        return int(self.weight_csr.nnz)
-
-    def shared_matrices(self):
-        """(name, scipy matrix) pairs whose arrays workers may share."""
-        return (("csr", self.weight_csr), ("csr_t", self.weight_csr_t))
-
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError("SparseLinear is inference-only; call model.eval()")
+        self._check_eval()
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        out = self._matmul.matmul_xwt(data)
-        if self.bias_data is not None:
-            np.add(out, self.bias_data, out=out)
-        return Tensor(out)
+        if data.ndim != 2:
+            raise ValueError(f"SparseLinear expects (N, features) input, got shape {data.shape}")
+        # W @ x.T lands C-contiguous; its transpose is the (N, out) result.
+        return Tensor(self._product(data.T).T)
 
     def __repr__(self) -> str:
         density = self.nnz / (self.in_features * self.out_features)
         return (
             f"SparseLinear(in={self.in_features}, out={self.out_features}, "
-            f"nnz={self.nnz}, density={density:.3f})"
+            f"block={self.block_size}, nnz={self.nnz}, density={density:.3f})"
         )
 
 
-class SparseConv2d(Module):
-    """Inference-only conv layer: im2col + CSR filter-matrix product."""
+class SparseConv2d(_CompiledLayer):
+    """Inference-only conv layer: im2col + block-CSR filter-matrix product."""
 
-    def __init__(self, dense: nn.Conv2d):
+    def __init__(self, dense: nn.Conv2d, block_size: int = 1, active_blocks=None):
         super().__init__()
         self.in_channels = dense.in_channels
         self.out_channels = dense.out_channels
@@ -151,12 +224,12 @@ class SparseConv2d(Module):
         self.stride = dense.stride
         self.padding = dense.padding
         kh, kw = self.kernel_size
-        self._matmul = _frozen_matmul(
-            dense.weight.data.reshape(self.out_channels, self.in_channels * kh * kw)
+        self.matmul = _compile_matmul(
+            dense.weight.data.reshape(self.out_channels, self.in_channels * kh * kw),
+            block_size,
+            active_blocks,
         )
-        self.weight_csr = self._matmul.csr
-        self.weight_csr_t = self._matmul.csr_t
-        self.bias_data = None if dense.bias is None else dense.bias.data.copy()
+        self.bias_data = _bias(None if dense.bias is None else dense.bias.data)
 
     @classmethod
     def from_csr(
@@ -171,10 +244,11 @@ class SparseConv2d(Module):
         indptr: np.ndarray,
         bias: np.ndarray | None = None,
         copy: bool = True,
+        block_size: int = 1,
     ) -> "SparseConv2d":
-        """Rebuild a compiled conv layer from stored CSR components.
+        """Rebuild a compiled conv layer from its :meth:`stored_parts`.
 
-        See :meth:`SparseLinear.from_csr`; the CSR matrix here is the
+        See :meth:`SparseLinear.from_csr`; the matrix here is the
         ``(out_channels, in_channels * kh * kw)`` filter matrix.
         """
         layer = cls.__new__(cls)
@@ -185,217 +259,41 @@ class SparseConv2d(Module):
         layer.kernel_size = (int(kh), int(kw))
         layer.stride = tuple(stride) if isinstance(stride, (tuple, list)) else int(stride)
         layer.padding = tuple(padding) if isinstance(padding, (tuple, list)) else int(padding)
-        layer._matmul = CsrMatmul.from_parts(
+        layer.matmul = _load_matmul(
             (layer.out_channels, layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]),
+            block_size,
             data,
             indices,
             indptr,
-            copy=copy,
+            copy,
         )
-        layer.weight_csr = layer._matmul.csr
-        layer.weight_csr_t = layer._matmul.csr_t
-        layer.bias_data = None if bias is None else np.array(bias, dtype=np.float32, copy=True)
+        layer.bias_data = _bias(bias)
         layer.eval()
         return layer
 
-    @property
-    def nnz(self) -> int:
-        return int(self.weight_csr.nnz)
-
-    def shared_matrices(self):
-        """(name, scipy matrix) pairs whose arrays workers may share."""
-        return (("csr", self.weight_csr), ("csr_t", self.weight_csr_t))
-
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError("SparseConv2d is inference-only; call model.eval()")
+        self._check_eval()
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if data.ndim != 4 or data.shape[1] != self.in_channels:
+            raise ValueError(
+                f"SparseConv2d expects (N, {self.in_channels}, H, W) input, got shape {data.shape}"
+            )
         kh, kw = self.kernel_size
         stride = self.stride if isinstance(self.stride, tuple) else (self.stride, self.stride)
         padding = self.padding if isinstance(self.padding, tuple) else (self.padding, self.padding)
         cols, _, out_h, out_w = _im2col(data, kh, kw, stride, padding)
         n = data.shape[0]
-        cols_mat = np.ascontiguousarray(cols).reshape(n * out_h * out_w, self.in_channels * kh * kw)
-        out_mat = np.ascontiguousarray(self._matmul.matmul_xwt(cols_mat))
-        out = out_mat.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        if self.bias_data is not None:
-            out = out + self.bias_data.reshape(1, -1, 1, 1)
-        return Tensor(np.ascontiguousarray(out, dtype=np.float32))
+        # (C*kh*kw, N*oh*ow) so the filter matrix multiplies from the left.
+        cols_t = cols.transpose(3, 4, 5, 0, 1, 2).reshape(self.in_channels * kh * kw, -1)
+        out_t = self._product(cols_t)
+        out = out_t.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
+        return Tensor(np.ascontiguousarray(out))
 
     def __repr__(self) -> str:
         kh, kw = self.kernel_size
         size = self.out_channels * self.in_channels * kh * kw
         return (
             f"SparseConv2d({self.in_channels}, {self.out_channels}, "
-            f"kernel={self.kernel_size}, nnz={self.nnz}, density={self.nnz / size:.3f})"
-        )
-
-
-class BlockSparseLinear(SparseLinear):
-    """Inference-only linear layer with a BSR (block-CSR) weight matrix.
-
-    Produced by :func:`compile_sparse_model` for layers trained with
-    ``block_size > 1``: the storage keeps whole ``B x B`` tiles
-    (``data (nnzb, B, B)``, block ``indices``/``indptr``), so artifacts
-    round-trip the trained block structure and the serving product runs
-    block-at-a-time.
-    """
-
-    def __init__(self, dense: nn.Linear, block_size: int, active_blocks: np.ndarray):
-        Module.__init__(self)
-        self.in_features = dense.in_features
-        self.out_features = dense.out_features
-        self.block_size = int(block_size)
-        self.weight_bsr = _frozen_bsr(dense.weight.data, block_size, active_blocks)
-        self.bias_data = None if dense.bias is None else dense.bias.data.copy()
-        self.eval()
-
-    @classmethod
-    def from_bsr(
-        cls,
-        in_features: int,
-        out_features: int,
-        block_size: int,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        bias: np.ndarray | None = None,
-        copy: bool = True,
-    ) -> "BlockSparseLinear":
-        """Rebuild a compiled block layer from stored BSR components."""
-        layer = cls.__new__(cls)
-        Module.__init__(layer)
-        layer.in_features = int(in_features)
-        layer.out_features = int(out_features)
-        b = layer.block_size = int(block_size)
-        if copy:
-            data = np.array(data, dtype=np.float32)
-            indices = np.array(indices)
-            indptr = np.array(indptr)
-        layer.weight_bsr = sp.bsr_matrix(
-            (data, indices, indptr),
-            shape=(layer.out_features, layer.in_features),
-            blocksize=(b, b),
-            copy=False,
-        )
-        layer.bias_data = None if bias is None else np.array(bias, dtype=np.float32)
-        layer.eval()
-        return layer
-
-    @property
-    def nnz(self) -> int:
-        return int(self.weight_bsr.nnz)
-
-    def shared_matrices(self):
-        return (("bsr", self.weight_bsr),)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError("BlockSparseLinear is inference-only; call model.eval()")
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        out = np.ascontiguousarray((self.weight_bsr @ data.T).T, dtype=np.float32)
-        if self.bias_data is not None:
-            np.add(out, self.bias_data, out=out)
-        return Tensor(out)
-
-    def __repr__(self) -> str:
-        density = self.nnz / (self.in_features * self.out_features)
-        return (
-            f"BlockSparseLinear(in={self.in_features}, out={self.out_features}, "
-            f"block={self.block_size}, nnz={self.nnz}, density={density:.3f})"
-        )
-
-
-class BlockSparseConv2d(SparseConv2d):
-    """Inference-only conv layer: im2col + BSR filter-matrix product."""
-
-    def __init__(self, dense: nn.Conv2d, block_size: int, active_blocks: np.ndarray):
-        Module.__init__(self)
-        self.in_channels = dense.in_channels
-        self.out_channels = dense.out_channels
-        self.kernel_size = dense.kernel_size
-        self.stride = dense.stride
-        self.padding = dense.padding
-        self.block_size = int(block_size)
-        kh, kw = self.kernel_size
-        self.weight_bsr = _frozen_bsr(
-            dense.weight.data.reshape(self.out_channels, self.in_channels * kh * kw),
-            block_size,
-            active_blocks,
-        )
-        self.bias_data = None if dense.bias is None else dense.bias.data.copy()
-        self.eval()
-
-    @classmethod
-    def from_bsr(
-        cls,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: tuple[int, int],
-        stride,
-        padding,
-        block_size: int,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        bias: np.ndarray | None = None,
-        copy: bool = True,
-    ) -> "BlockSparseConv2d":
-        """Rebuild a compiled block conv layer from stored BSR components."""
-        layer = cls.__new__(cls)
-        Module.__init__(layer)
-        layer.in_channels = int(in_channels)
-        layer.out_channels = int(out_channels)
-        kh, kw = kernel_size
-        layer.kernel_size = (int(kh), int(kw))
-        layer.stride = tuple(stride) if isinstance(stride, (tuple, list)) else int(stride)
-        layer.padding = tuple(padding) if isinstance(padding, (tuple, list)) else int(padding)
-        b = layer.block_size = int(block_size)
-        if copy:
-            data = np.array(data, dtype=np.float32)
-            indices = np.array(indices)
-            indptr = np.array(indptr)
-        layer.weight_bsr = sp.bsr_matrix(
-            (data, indices, indptr),
-            shape=(
-                layer.out_channels,
-                layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1],
-            ),
-            blocksize=(b, b),
-            copy=False,
-        )
-        layer.bias_data = None if bias is None else np.array(bias, dtype=np.float32)
-        layer.eval()
-        return layer
-
-    @property
-    def nnz(self) -> int:
-        return int(self.weight_bsr.nnz)
-
-    def shared_matrices(self):
-        return (("bsr", self.weight_bsr),)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError("BlockSparseConv2d is inference-only; call model.eval()")
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        kh, kw = self.kernel_size
-        stride = self.stride if isinstance(self.stride, tuple) else (self.stride, self.stride)
-        padding = self.padding if isinstance(self.padding, tuple) else (self.padding, self.padding)
-        cols, _, out_h, out_w = _im2col(data, kh, kw, stride, padding)
-        n = data.shape[0]
-        cols_mat = np.ascontiguousarray(cols).reshape(n * out_h * out_w, self.in_channels * kh * kw)
-        out_mat = np.ascontiguousarray((self.weight_bsr @ cols_mat.T).T)
-        out = out_mat.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        if self.bias_data is not None:
-            out = out + self.bias_data.reshape(1, -1, 1, 1)
-        return Tensor(np.ascontiguousarray(out, dtype=np.float32))
-
-    def __repr__(self) -> str:
-        kh, kw = self.kernel_size
-        size = self.out_channels * self.in_channels * kh * kw
-        return (
-            f"BlockSparseConv2d({self.in_channels}, {self.out_channels}, "
             f"kernel={self.kernel_size}, block={self.block_size}, "
             f"nnz={self.nnz}, density={self.nnz / size:.3f})"
         )
@@ -405,11 +303,9 @@ def compile_sparse_model(masked: MaskedModel) -> Module:
     """Replace every masked Linear/Conv2d in the model with a sparse version.
 
     The masks are applied first, so the sparse structure matches the
-    trained sparsity pattern exactly.  Layers trained with ``block_size >
-    1`` compile to BSR (:class:`BlockSparseLinear` /
-    :class:`BlockSparseConv2d`); the rest compile to CSR.  Returns the
-    (mutated) model in eval mode.  The original :class:`MaskedModel`
-    should not be trained afterwards.
+    trained sparsity pattern exactly; each layer keeps its trained
+    ``block_size``.  Returns the (mutated) model in eval mode.  The
+    original :class:`MaskedModel` should not be trained afterwards.
     """
     masked.apply_masks()
     targets_by_param = {id(t.param): t for t in masked.targets}
@@ -422,22 +318,10 @@ def compile_sparse_model(masked: MaskedModel) -> Module:
                 target = targets_by_param.get(id(child.weight))
             if target is None:
                 compile_children(child)
-            elif isinstance(child, nn.Linear):
-                if target.block_size > 1:
-                    module.add_module(
-                        name,
-                        BlockSparseLinear(child, target.block_size, target.active_blocks),
-                    )
-                else:
-                    module.add_module(name, SparseLinear(child))
-            else:
-                if target.block_size > 1:
-                    module.add_module(
-                        name,
-                        BlockSparseConv2d(child, target.block_size, target.active_blocks),
-                    )
-                else:
-                    module.add_module(name, SparseConv2d(child))
+                continue
+            layer_cls = SparseLinear if isinstance(child, nn.Linear) else SparseConv2d
+            active_blocks = target.active_blocks if target.block_size > 1 else None
+            module.add_module(name, layer_cls(child, target.block_size, active_blocks))
 
     compile_children(model)
     model.eval()
@@ -449,12 +333,7 @@ def sparse_storage_bytes(model: Module) -> tuple[int, int]:
     sparse_bytes = 0
     dense_bytes = 0
     for module in model.modules():
-        if isinstance(module, (SparseLinear, SparseConv2d)):
-            matrix = (
-                module.weight_bsr
-                if isinstance(module, (BlockSparseLinear, BlockSparseConv2d))
-                else module.weight_csr
-            )
-            sparse_bytes += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-            dense_bytes += int(np.prod(matrix.shape)) * 4
+        if isinstance(module, _CompiledLayer):
+            sparse_bytes += sum(part.nbytes for part in module.stored_parts())
+            dense_bytes += int(np.prod(module.matmul.shape2d)) * 4
     return sparse_bytes, dense_bytes

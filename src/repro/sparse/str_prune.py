@@ -16,7 +16,9 @@ behaviours at bench scale:
   |w|-quantile matching a cubic dense→sparse schedule, so which weights
   survive is decided by training dynamics while the level is exact.
 
-EXPERIMENTS.md records this as "STR (thresholding variant)".
+The experiment registry runs it as method ``"str"``
+(:mod:`repro.experiments.registry`); Table I's bench labels it
+"STR-proximal".
 """
 
 from __future__ import annotations

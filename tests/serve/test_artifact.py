@@ -238,16 +238,11 @@ class TestBlockArtifacts:
         assert block_sizes == [1, 4, 4]
 
     def test_loaded_layers_use_bsr_structure(self, tmp_path):
-        from repro.sparse.inference import BlockSparseLinear
-
         _, path = self._block_artifact(tmp_path)
         loaded = load_model(path)
-        kinds = [type(m).__name__ for m in loaded.model.modules()
-                 if isinstance(m, SparseLinear)]
-        assert kinds.count("BlockSparseLinear") == 2
-        block_layers = [m for m in loaded.model.modules()
-                       if isinstance(m, BlockSparseLinear)]
-        assert all(m.block_size == 4 for m in block_layers)
+        block_sizes = [m.block_size for m in loaded.model.modules()
+                       if isinstance(m, SparseLinear)]
+        assert sorted(block_sizes) == [1, 4, 4]
 
     def test_fingerprint_detects_tampering_in_block_payload(self, tmp_path):
         _, path = self._block_artifact(tmp_path)

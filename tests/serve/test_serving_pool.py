@@ -44,10 +44,10 @@ class TestArena:
             layer = next(
                 m for m in loaded.model.modules() if isinstance(m, SparseLinear)
             )
-            assert not layer.weight_csr.data.flags.writeable
-            assert not layer.weight_csr_t.data.flags.writeable
+            for key in ("data", "indices", "indptr"):
+                assert not getattr(layer.matmul, key).flags.writeable
             with pytest.raises((ValueError, RuntimeError)):
-                layer.weight_csr.data[0] = 42.0
+                layer.matmul.data[0] = 42.0
             assert np.array_equal(loaded.predict(x), before)
         finally:
             arena.close()
@@ -115,7 +115,7 @@ class TestPool:
         # still produce identical predictions from private copies.
         assert np.array_equal(loaded.predict(x), before)
         layer = next(m for m in loaded.model.modules() if isinstance(m, SparseLinear))
-        assert layer.weight_csr.data.flags.writeable  # private again, not a view
+        assert layer.matmul.data.flags.writeable  # private again, not a view
 
 class TestSupervision:
     """Worker deaths are survived, not propagated: restart, re-dispatch, degrade."""

@@ -115,7 +115,9 @@ class TestBlockMask:
 
 
 class TestExpandBlockCsr:
-    @pytest.mark.parametrize("shape,b", [((8, 8), 2), ((12, 8), 4), ((6, 9), 3)])
+    @pytest.mark.parametrize(
+        "shape,b", [((8, 8), 2), ((12, 8), 4), ((6, 9), 3), ((7, 5), 1)]
+    )
     def test_matches_scipy_bsr_structure(self, shape, b):
         rows, cols = shape
         block_rows, block_cols = rows // b, cols // b

@@ -80,6 +80,62 @@ class TestSparseConv2d:
             sparse(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)))
 
 
+def _compiled_linear(block_size=1):
+    model = nn.Linear(16, 8, rng=np.random.default_rng(4))
+    masked = MaskedModel(model, 0.5, distribution="uniform",
+                         rng=np.random.default_rng(5), block_size=block_size)
+    target = masked.targets[0]
+    active_blocks = target.active_blocks if block_size > 1 else None
+    layer = SparseLinear(model, block_size, active_blocks)
+    layer.eval()
+    return layer
+
+
+class TestForwardGuards:
+    """The inference forward calls csr_matvecs directly, so it checks first."""
+
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_float64_input_is_cast_to_float32(self, block_size):
+        layer = _compiled_linear(block_size)
+        x = RNG.standard_normal((3, 16))
+        out = layer(Tensor(x)).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, layer(Tensor(x.astype(np.float32))).data)
+
+    def test_non_contiguous_input_matches_contiguous(self):
+        layer = _compiled_linear()
+        x = RNG.standard_normal((16, 3)).astype(np.float32).T  # F-ordered view
+        expected = layer(Tensor(np.ascontiguousarray(x))).data
+        np.testing.assert_array_equal(layer(Tensor(x)).data, expected)
+
+    def test_wrong_width_raises_value_error(self):
+        layer = _compiled_linear()
+        with pytest.raises(ValueError, match="16 input features"):
+            layer(Tensor(np.zeros((2, 15), dtype=np.float32)))
+
+    def test_conv_wrong_channels_raises_value_error(self):
+        layer = SparseConv2d(nn.Conv2d(3, 4, 3, rng=np.random.default_rng(1)))
+        layer.eval()
+        with pytest.raises(ValueError, match="expects"):
+            layer(Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32)))
+
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_first_prediction_unchanged_after_second(self, block_size):
+        layer = _compiled_linear(block_size)
+        first = layer(Tensor(RNG.standard_normal((3, 16)).astype(np.float32))).data
+        kept = first.copy()
+        layer(Tensor(RNG.standard_normal((3, 16)).astype(np.float32)))
+        np.testing.assert_array_equal(first, kept)
+
+    def test_conv_first_prediction_unchanged_after_second(self):
+        layer = SparseConv2d(nn.Conv2d(3, 4, 3, rng=np.random.default_rng(1)))
+        layer.eval()
+        first = layer(Tensor(RNG.standard_normal((1, 3, 5, 5)).astype(np.float32))).data
+        kept = first.copy()
+        layer(Tensor(RNG.standard_normal((1, 3, 5, 5)).astype(np.float32)))
+        np.testing.assert_array_equal(first, kept)
+
+
 class TestCompile:
     def test_compiled_model_matches_masked_dense(self):
         model = vgg11(num_classes=4, width_mult=0.1, input_size=8, seed=3)
@@ -183,9 +239,7 @@ class TestFromCsr:
         original.eval()
         rebuilt = SparseLinear.from_csr(
             14, 9,
-            original.weight_csr.data,
-            original.weight_csr.indices,
-            original.weight_csr.indptr,
+            *original.stored_parts(),
             bias=original.bias_data,
         )
         x = Tensor(RNG.standard_normal((5, 14)).astype(np.float32))
@@ -200,9 +254,7 @@ class TestFromCsr:
         original.eval()
         rebuilt = SparseConv2d.from_csr(
             2, 5, (3, 3), (2, 2), (1, 1),
-            original.weight_csr.data,
-            original.weight_csr.indices,
-            original.weight_csr.indptr,
+            *original.stored_parts(),
             bias=original.bias_data,
         )
         x = Tensor(RNG.standard_normal((2, 2, 8, 8)).astype(np.float32))
@@ -211,23 +263,19 @@ class TestFromCsr:
     def test_from_csr_no_copy_aliases_caller_arrays(self):
         dense = nn.Linear(8, 4, bias=False, rng=np.random.default_rng(2))
         original = SparseLinear(dense)
-        data = original.weight_csr.data.copy()
+        data, indices, indptr = (part.copy() for part in original.stored_parts())
         rebuilt = SparseLinear.from_csr(
-            8, 4, data,
-            original.weight_csr.indices.copy(),
-            original.weight_csr.indptr.copy(),
+            8, 4, data, indices, indptr,
             copy=False,
         )
-        assert rebuilt.weight_csr.data is data
+        assert rebuilt.matmul.data is data
 
     def test_from_csr_copy_detaches_from_caller_arrays(self):
         dense = nn.Linear(8, 4, bias=False, rng=np.random.default_rng(2))
         original = SparseLinear(dense)
-        data = original.weight_csr.data.copy()
+        data, indices, indptr = (part.copy() for part in original.stored_parts())
         rebuilt = SparseLinear.from_csr(
-            8, 4, data,
-            original.weight_csr.indices.copy(),
-            original.weight_csr.indptr.copy(),
+            8, 4, data, indices, indptr,
             copy=True,
         )
-        assert rebuilt.weight_csr.data is not data
+        assert rebuilt.matmul.data is not data

@@ -17,11 +17,13 @@ from repro.sparse import (
     remove_training_backends,
     select_backend,
 )
+from repro.nn.module import Parameter
 from repro.sparse.kernels import (
     BACKEND_ENV,
     CsrMatmul,
     resolve_mode,
 )
+from repro.sparse.masked import SparseParam
 
 RNG = np.random.default_rng(0)
 
@@ -177,12 +179,12 @@ class TestIncrementalRebuild:
             if isinstance(m, nn.Linear) and m.forward_backend is not None
         ]
         structures = [
-            (id(k.matmul.csr.indices), id(k.matmul.csr_t.indices)) for k in kernels
+            (k.matmul.structure_version, id(k.matmul.indices)) for k in kernels
         ]
         model(x)  # weights untouched, masks untouched -> same structure arrays
-        for kernel, (csr_id, csr_t_id) in zip(kernels, structures):
-            assert id(kernel.matmul.csr.indices) == csr_id
-            assert id(kernel.matmul.csr_t.indices) == csr_t_id
+        for kernel, (version, indices_id) in zip(kernels, structures):
+            assert kernel.matmul.structure_version == version
+            assert id(kernel.matmul.indices) == indices_id
 
     def test_structure_rebuilt_only_for_changed_layers(self):
         model, masked = mlp_setup()
@@ -221,23 +223,109 @@ class TestIncrementalRebuild:
 
 
 class TestCsrMatmul:
+    """The one kernel at block size 1, synced from an element mask."""
+
+    def _synced(self, w, mask):
+        target = SparseParam("w", Parameter(w), mask, float(mask.mean()))
+        matmul = CsrMatmul(w.shape)
+        matmul.sync(w.reshape(-1), target)
+        assert matmul.block_size == 1
+        assert matmul.structure_version == target.mask_version
+        return matmul
+
     def test_matches_dense_products(self):
         w = RNG.standard_normal((12, 20)).astype(np.float32)
         mask = RNG.random((12, 20)) < 0.3
         w *= mask
-        matmul = CsrMatmul(w.shape)
-        matmul.sync(w.reshape(-1), np.flatnonzero(mask.reshape(-1)), version=0)
-        x = RNG.standard_normal((7, 20)).astype(np.float32)
-        g = RNG.standard_normal((7, 12)).astype(np.float32)
-        np.testing.assert_allclose(matmul.matmul_xwt(x), x @ w.T, atol=1e-5)
-        np.testing.assert_allclose(matmul.matmul_gw(g), g @ w, atol=1e-5)
+        matmul = self._synced(w, mask)
+        x_t = np.ascontiguousarray(RNG.standard_normal((20, 7)).astype(np.float32))
+        g_t = np.ascontiguousarray(RNG.standard_normal((12, 7)).astype(np.float32))
+        np.testing.assert_allclose(matmul.matmul_wx(x_t), w @ x_t, atol=1e-5)
+        np.testing.assert_allclose(matmul.matmul_wtg(g_t), w.T @ g_t, atol=1e-5)
 
     def test_empty_mask(self):
         w = np.zeros((4, 6), dtype=np.float32)
-        matmul = CsrMatmul(w.shape)
-        matmul.sync(w.reshape(-1), np.flatnonzero(w.reshape(-1)), version=0)
-        x = RNG.standard_normal((3, 6)).astype(np.float32)
-        np.testing.assert_allclose(matmul.matmul_xwt(x), np.zeros((3, 4)))
+        matmul = self._synced(w, np.zeros(w.shape, dtype=bool))
+        x_t = np.ascontiguousarray(RNG.standard_normal((6, 3)).astype(np.float32))
+        np.testing.assert_array_equal(matmul.matmul_wx(x_t), np.zeros((4, 3)))
+
+
+def _single_layer(kind, block_size):
+    rng = np.random.default_rng(block_size)
+    if kind == "linear":
+        layer = nn.Linear(24, 16, rng=rng)
+        x = rng.standard_normal((5, 24)).astype(np.float32)
+    else:
+        layer = nn.Conv2d(4, 8, 3, stride=1, padding=1, rng=rng)
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+    masked = MaskedModel(
+        layer, 0.75, distribution="uniform",
+        rng=np.random.default_rng(block_size + 10), block_size=block_size,
+    )
+    return layer, masked, x
+
+
+def _forward_backward(layer, x_data, upstream):
+    layer.zero_grad()
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = layer(x)
+    out.backward(upstream)
+    return out.data.copy(), x.grad.copy(), layer.weight.grad.copy(), layer.bias.grad.copy()
+
+
+class TestOneKernelParity:
+    """Every block size of the one kernel against the masked-dense path."""
+
+    @pytest.mark.parametrize("kind", ["linear", "conv"])
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    @pytest.mark.parametrize("dense_grads_required", [True, False])
+    def test_forward_and_gradients_match_dense(self, kind, block_size, dense_grads_required):
+        layer, masked, x = _single_layer(kind, block_size)
+        target = masked.targets[0]
+        assert target.block_size == block_size
+        upstream_rng = np.random.default_rng(99)
+        out_shape = layer(Tensor(x)).shape
+        upstream = upstream_rng.standard_normal(out_shape).astype(np.float32)
+        out_d, gx_d, gw_d, gb_d = _forward_backward(layer, x, upstream)
+
+        label = "csr" if block_size == 1 else "bsr"
+        report = install_training_backends(masked, mode=label, min_size=1)
+        assert report[target.name] == label
+        target.dense_grads_required = dense_grads_required
+        out_s, gx_s, gw_s, gb_s = _forward_backward(layer, x, upstream)
+        remove_training_backends(layer)
+
+        np.testing.assert_allclose(out_s, out_d, atol=1e-5)
+        np.testing.assert_allclose(gx_s, gx_d, atol=1e-5)
+        np.testing.assert_allclose(gb_s, gb_d, atol=1e-5)
+        if dense_grads_required or block_size == 1:
+            # The dense GEMM: inactive weights get their growth scores too.
+            np.testing.assert_allclose(gw_s, gw_d, atol=1e-5)
+        else:
+            mask = target.mask
+            np.testing.assert_allclose(gw_s, gw_d * mask, atol=1e-5)
+            np.testing.assert_array_equal(gw_s[~mask], 0.0)
+            assert np.any(gw_d[~mask] != 0.0)
+
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_linear_called_twice_before_backward(self, block_size):
+        """Two forwards of one layer in one graph keep distinct outputs."""
+        layer, masked, _ = _single_layer("linear", block_size)
+        rng = np.random.default_rng(3)
+        x1, x2 = (rng.standard_normal((5, 24)).astype(np.float32) for _ in range(2))
+
+        def product_grads():
+            layer.zero_grad()
+            a, b = layer(Tensor(x1)), layer(Tensor(x2))
+            (a * b).sum().backward()  # mul's backward reads both outputs
+            return layer.weight.grad.copy(), layer.bias.grad.copy()
+
+        dense = product_grads()
+        install_training_backends(masked, mode="csr" if block_size == 1 else "bsr", min_size=1)
+        sparse = product_grads()
+        remove_training_backends(layer)
+        for got, want in zip(sparse, dense):
+            np.testing.assert_allclose(got, want, atol=1e-4)
 
 
 class TestCachedIndexProperty:
