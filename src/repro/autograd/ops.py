@@ -10,6 +10,7 @@ it; the adjoint of broadcasting is handled by
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "sqrt",
     "abs",
     "tanh",
+    "gelu",
     "sigmoid",
     "relu",
     "leaky_relu",
@@ -40,6 +42,7 @@ __all__ = [
     "mean",
     "var",
     "batch_norm",
+    "layer_norm",
     "max",
     "min",
     "reshape",
@@ -213,6 +216,49 @@ def tanh(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+# Constants of the tanh-approximate GELU (Hendrycks & Gimpel, 2016) — the
+# form used by GPT-2 and the Graphcore dynamic-sparsity LM exemplar.
+_GELU_SCALE = 0.7978845608028654  # sqrt(2 / pi)
+_GELU_CUBIC = 0.044715
+
+
+def gelu(a) -> Tensor:
+    """Tanh-approximate GELU as one node with a closed-form backward.
+
+    ``0.5 * x * (1 + t)`` with ``t = tanh(sqrt(2/pi) * x * (1 + 0.044715 * x²))``.
+    The cube is formed as ``x * x²`` (``np.power`` with a float exponent is
+    a libm call an order of magnitude slower than a multiply), and the
+    backward reuses the saved ``t`` and ``x²``:
+
+    ``dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t²) * sqrt(2/pi) * (1 + 3 * 0.044715 * x²)``
+    """
+    a = ensure_tensor(a)
+    x = a.data
+    x2 = x * x
+    t = x2 * _GELU_CUBIC
+    t += 1.0
+    t *= x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
+
+    def backward(grad: np.ndarray) -> None:
+        slope = x2 * (1.5 * _GELU_CUBIC * _GELU_SCALE)
+        slope += 0.5 * _GELU_SCALE
+        slope *= x
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        dx *= slope
+        dx += 0.5
+        dx += np.multiply(t, 0.5, out=slope)
+        dx *= grad
+        a._accumulate(dx)
+
+    return Tensor._make(out_data, (a,), backward)
+
+
 def sigmoid(a) -> Tensor:
     """Numerically stable elementwise logistic sigmoid."""
     a = ensure_tensor(a)
@@ -351,8 +397,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def var(a, axis=None, keepdims: bool = False) -> Tensor:
     """Biased (population) variance over ``axis``, composed from primitives.
 
-    The biased estimator matches what batch normalization uses in training
-    mode, which is the only consumer in this library.
+    Backs :meth:`Tensor.var`; the normalization layers use the fused
+    :func:`batch_norm` and :func:`layer_norm` nodes instead.
     """
     a = ensure_tensor(a)
     mu = mean(a, axis=axis, keepdims=True)
@@ -436,6 +482,49 @@ def batch_norm(
     return result, mu.reshape(-1), var_.reshape(-1)
 
 
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Fused last-axis layer normalization with closed-form backward.
+
+    ``(x - mean) / sqrt(var + eps) * gamma + beta`` with per-row statistics
+    over the last axis (biased variance) and ``gamma``/``beta`` of shape
+    ``(D,)`` living on that reduced axis — unlike :func:`batch_norm`, whose
+    affine parameters live on a kept axis.  With ``g = dy * gamma``:
+
+    ``dx = inv_std * (g - mean(g) - x_hat * mean(g * x_hat))``
+
+    with the means over the last axis; ``dgamma = sum(dy * x_hat)`` and
+    ``dbeta = sum(dy)`` over every leading axis.
+    """
+    x = ensure_tensor(x)
+    gamma = ensure_tensor(gamma)
+    beta = ensure_tensor(beta)
+    data = x.data
+    d = data.shape[-1]
+    centered = data - data.mean(axis=-1, keepdims=True)
+    var_ = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var_ + eps)
+    x_hat = np.multiply(centered, inv_std, out=centered)
+    out_data = x_hat * gamma.data
+    out_data += beta.data
+
+    def backward(grad: np.ndarray) -> None:
+        gx = grad * x_hat
+        beta._accumulate(grad.reshape(-1, d).sum(axis=0).reshape(beta.shape))
+        gamma._accumulate(gx.reshape(-1, d).sum(axis=0).reshape(gamma.shape))
+        gam = gamma.data.reshape(d)
+        # mean(g) and mean(g * x_hat) as matvecs against gamma, so the only
+        # full-size temporaries are ``gx`` (reused below) and ``dx``.
+        mean_g = (grad @ gam)[..., None] / d
+        mean_gx = (gx @ gam)[..., None] / d
+        dx = grad * gam
+        dx -= mean_g
+        dx -= np.multiply(x_hat, mean_gx, out=gx)
+        dx *= inv_std
+        x._accumulate(dx)
+
+    return Tensor._make(out_data, (x, gamma, beta), backward)
+
+
 def _extreme(a, axis, keepdims: bool, mode: str) -> Tensor:
     a = ensure_tensor(a)
     reducer = np.max if mode == "max" else np.min
@@ -493,14 +582,44 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def _scatter_rows(grad: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Adjoint of ``a[rows]`` for one integer index array: a row segment sum.
+
+    Equivalent to ``np.add.at(zeros(shape), rows, grad)`` but several times
+    faster (``np.add.at`` is unbuffered): a stable argsort groups repeated
+    ids while keeping their original order, and ``np.add.reduceat`` sums
+    each group.  Negative ids are taken modulo ``shape[0]`` first so ``-1``
+    and ``n - 1`` land in one segment and sum instead of overwriting each
+    other.
+    """
+    full = np.zeros((shape[0], math.prod(shape[1:])), dtype=grad.dtype)
+    if rows.size:
+        flat = rows.reshape(-1) % shape[0]
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        values = grad.reshape(flat.size, -1)[order]
+        full[ids[starts]] = np.add.reduceat(values, starts, axis=0)
+    return full.reshape(shape)
+
+
 def getitem(a, index) -> Tensor:
-    """Numpy-style indexing/slicing with gradient scatter-add on backward."""
+    """Numpy-style indexing/slicing with gradient scatter-add on backward.
+
+    A single integer index array (embedding gathers, last-position picks,
+    edge gathers) scatters through :func:`_scatter_rows`; every other index
+    (slices, tuples, boolean masks) falls back to ``np.add.at``.
+    """
     a = ensure_tensor(a)
     if isinstance(index, Tensor):
         index = index.data
     out_data = a.data[index]
+    row_gather = isinstance(index, np.ndarray) and np.issubdtype(index.dtype, np.integer)
 
     def backward(grad: np.ndarray) -> None:
+        if row_gather:
+            a._accumulate(_scatter_rows(grad, index, a.shape))
+            return
         full = np.zeros_like(a.data)
         np.add.at(full, index, grad)
         a._accumulate(full)

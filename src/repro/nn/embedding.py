@@ -2,8 +2,9 @@
 
 ``Embedding`` is a learned table of shape ``(num_embeddings,
 embedding_dim)`` indexed by integer ids.  The forward pass routes through
-:func:`repro.autograd.ops.getitem`, whose backward uses ``np.add.at`` —
-so the gradient accumulated into the table is *sparse by construction*:
+:func:`repro.autograd.ops.getitem`, whose backward is a row segment sum
+(stable argsort + ``np.add.reduceat``) — so the gradient accumulated into
+the table is *sparse by construction*:
 only rows touched by the batch receive non-zero gradient, with repeated
 ids summed exactly as a dense one-hot matmul would.  That property is
 what lets `MaskedModel` sparsify embedding tables and what the

@@ -1,9 +1,10 @@
-"""Batch normalization layers.
+"""Batch and layer normalization layers.
 
-Both layers keep running estimates of mean/variance (buffers) for inference
-and compute batch statistics through the autograd graph during training, so
-gradients flow through the normalization exactly as in the reference
-implementations the paper's experiments rely on.
+The batch-norm layers keep running estimates of mean/variance (buffers) for
+inference and compute batch statistics through the autograd graph during
+training, so gradients flow through the normalization exactly as in the
+reference implementations the paper's experiments rely on.  Both training
+paths are single fused autograd nodes (``ops.batch_norm``/``ops.layer_norm``).
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ class LayerNorm(Module):
     Unlike batch norm there are no running statistics — train and eval
     behave identically, and the statistics are per-example (reduced over
     the last axis only), so transformer blocks normalize each token's
-    feature vector independently of batch composition.  Composed from
-    autograd mean/var/sqrt primitives, so gradients flow through the
-    statistics exactly (verified against numerical gradients in
-    ``tests/nn/test_transformer.py``).
+    feature vector independently of batch composition.  Backed by the fused
+    :func:`repro.autograd.ops.layer_norm` node, whose closed-form backward
+    flows gradients through the statistics exactly (verified against
+    numerical gradients in ``tests/nn/test_transformer.py``).
     """
 
     def __init__(self, normalized_dim: int, eps: float = 1e-5):
@@ -86,10 +87,7 @@ class LayerNorm(Module):
             raise ValueError(
                 f"LayerNorm({self.normalized_dim}) got trailing dim {x.shape[-1]}"
             )
-        mean = ops.mean(x, axis=-1, keepdims=True)
-        var = ops.var(x, axis=-1, keepdims=True)
-        x_hat = ops.div(ops.sub(x, mean), ops.sqrt(ops.add(var, self.eps)))
-        return ops.add(ops.mul(x_hat, self.weight), self.bias)
+        return ops.layer_norm(x, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_dim}, eps={self.eps})"

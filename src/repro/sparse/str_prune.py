@@ -6,8 +6,7 @@ The original STR (Kusupati et al., ICML'20) reparameterizes each weight as
 indirect control makes hitting an exact target sparsity awkward, and the
 literal proximal form (subtracting τ from every weight every step) needs
 STR's 100-epoch budgets for surviving weights to out-run the shrinkage bias.
-Following the substitution rule (DESIGN.md §2) we keep STR's two essential
-behaviours at bench scale:
+At bench scale we therefore keep STR's two essential behaviours:
 
 * **layerwise thresholds applied to the live weights** — every step, each
   layer's weights below its threshold ``τ_l(t)`` are zeroed, but gradients

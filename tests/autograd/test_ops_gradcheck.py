@@ -146,6 +146,73 @@ class TestReductionGradients:
         gradcheck(lambda x: ops.min(x, axis=1), [t64(values)], atol=1e-4, rtol=1e-4)
 
 
+class TestFusedNodeGradients:
+    def test_gelu_including_saturated_inputs(self):
+        # |x| >= 4 drives tanh into saturation, where (1 - t²) underflows
+        # toward zero and the backward reduces to the 0.5 * (1 + t) term.
+        values = np.concatenate([RNG.standard_normal(12), [4.0, -4.0, 6.5, -7.0, 9.0]])
+        gradcheck(ops.gelu, [t64(values)], atol=1e-6, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4)])
+    def test_layer_norm_input_gamma_beta(self, shape):
+        x = t64(RNG.standard_normal(shape))
+        gamma = t64(RNG.standard_normal(shape[-1:]))
+        beta = t64(RNG.standard_normal(shape[-1:]))
+        # Non-uniform upstream gradient: with dy = 1 the input gradient of
+        # a normalization is identically zero and checks nothing.
+        weights = RNG.standard_normal(shape)
+        gradcheck(
+            lambda a, g, b: ops.mul(ops.layer_norm(a, g, b, 1e-5), weights),
+            [x, gamma, beta], atol=1e-5, rtol=1e-5,
+        )
+
+
+class TestRowScatter:
+    """The integer-index ``getitem`` backward against an ``np.add.at`` reference."""
+
+    @staticmethod
+    def _check(table_shape, index):
+        table = Tensor(RNG.standard_normal(table_shape), requires_grad=True)
+        out = ops.getitem(table, index)
+        upstream = RNG.standard_normal(out.shape)
+        out.backward(upstream)
+        expected = np.zeros(table_shape)
+        np.add.at(expected, index, upstream)
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=0.0)
+
+    def test_repeated_ids(self):
+        self._check((6, 3), np.array([4, 0, 4, 4, 2, 0]))
+
+    def test_two_dimensional_index(self):
+        self._check((7, 5), RNG.integers(0, 7, size=(4, 9)))
+
+    def test_stride_zero_broadcast_index(self):
+        # The position-embedding gather: one arange row broadcast over the batch.
+        index = np.broadcast_to(np.arange(5), (3, 5))
+        assert index.strides[0] == 0
+        self._check((8, 4), index)
+
+    def test_empty_index(self):
+        self._check((5, 3), np.zeros((0,), dtype=np.int64))
+
+    def test_trailing_feature_dims(self):
+        self._check((6, 2, 3), np.array([[1, 5], [5, 0]]))
+
+    def test_one_dimensional_table(self):
+        self._check((6,), np.array([3, 3, 1]))
+
+    def test_negative_and_positive_alias_sum(self):
+        # -1 and n-1 address the same row: both contributions must sum.
+        n = 5
+        table = Tensor(np.zeros((n, 2)), requires_grad=True)
+        ops.getitem(table, np.array([-1, n - 1, 0])).backward(
+            np.array([[1.0, 2.0], [10.0, 20.0], [3.0, 4.0]])
+        )
+        np.testing.assert_array_equal(table.grad[n - 1], [11.0, 22.0])
+        np.testing.assert_array_equal(table.grad[0], [3.0, 4.0])
+        self._check((n, 2), np.array([-1, n - 1, 2, -5, 0]))
+
+
 class TestShapeGradients:
     def test_reshape(self):
         a = t64(RNG.standard_normal((3, 4)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, ops
 from repro.models import CharGPT
 from repro.nn.losses import cross_entropy, lm_cross_entropy
 
@@ -175,3 +175,25 @@ class TestGELU:
             0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
         )
         np.testing.assert_allclose(out, expected, atol=1e-5)
+
+    def test_fused_node_matches_composed_graph(self):
+        """Forward and input-gradient parity of the fused ``ops.gelu`` node
+        with the pow/tanh/mul graph it replaced, at float32 tolerance."""
+        x_np = np.concatenate(
+            [RNG.standard_normal(256) * 3.0, [0.0, 4.0, -4.0, 8.0, -8.0]]
+        ).astype(np.float32)
+        upstream = RNG.standard_normal(x_np.shape).astype(np.float32)
+
+        x_fused = Tensor(x_np.copy(), requires_grad=True)
+        out_fused = nn.GELU()(x_fused)
+        out_fused.backward(upstream)
+
+        x_ref = Tensor(x_np.copy(), requires_grad=True)
+        cubic = ops.add(x_ref, ops.mul(0.044715, ops.pow(x_ref, 3.0)))
+        gate = ops.add(1.0, ops.tanh(ops.mul(0.7978845608028654, cubic)))
+        out_ref = ops.mul(ops.mul(0.5, x_ref), gate)
+        out_ref.backward(upstream)
+
+        assert out_fused.data.dtype == np.float32
+        np.testing.assert_allclose(out_fused.data, out_ref.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(x_fused.grad, x_ref.grad, rtol=1e-5, atol=1e-5)
