@@ -451,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--seed", type=int, default=0)
     export.add_argument("--out", required=True, help="artifact path to write (.npz)")
 
+    from repro.serve.batching import DEFAULT_MAX_LATENCY_MS
+
     serve = sub.add_parser("serve", help="serve a model artifact over HTTP")
     serve.add_argument(
         "--artifact",
@@ -468,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-latency-ms",
         type=float,
-        default=2.0,
-        help="micro-batching: flush when the oldest request " "has waited this long",
+        default=DEFAULT_MAX_LATENCY_MS,
+        help="micro-batching: flush when the oldest request has waited this long "
+        "(0: no idle wait; a batch takes whatever queued during the previous one)",
     )
     serve.add_argument(
         "--n-workers",

@@ -106,15 +106,17 @@ class AdmissionController:
         """Estimated queueing delay a request admitted now would see."""
         return self._pending * self._ema_service_s
 
-    def acquire(self, deadline_s: float | None = None) -> float:
-        """Admit one request or raise :class:`AdmissionRejected`.
+    def acquire(self, deadline_s: float | None = None, n: int = 1) -> float:
+        """Admit ``n`` requests at once or raise :class:`AdmissionRejected`.
 
         ``deadline_s`` is the request's *remaining* time budget in seconds
-        (``None`` = no deadline).  Returns the admission timestamp to pass
-        back to :meth:`release`.
+        (``None`` = no deadline).  Admission is all-or-nothing: the rules
+        are checked for the last of the ``n`` slots, so a rejection takes
+        no slot.  Returns the admission timestamp to pass back to
+        :meth:`release`, once per admitted slot.
         """
         with self._lock:
-            if self._pending >= self.max_pending:
+            if self._pending + n > self.max_pending:
                 self._rejected_full += 1
                 raise AdmissionRejected(
                     "queue_full",
@@ -122,7 +124,7 @@ class AdmissionController:
                     f"admission queue full ({self._pending}/{self.max_pending} pending)",
                 )
             if deadline_s is not None and self._ema_service_s > 0.0:
-                expected = self._expected_wait_locked() + self._ema_service_s
+                expected = self._expected_wait_locked() + n * self._ema_service_s
                 if expected > deadline_s:
                     self._rejected_deadline += 1
                     raise AdmissionRejected(
@@ -132,8 +134,8 @@ class AdmissionController:
                         f"(estimated {expected * 1e3:.0f} ms behind "
                         f"{self._pending} pending requests)",
                     )
-            self._pending += 1
-            self._admitted += 1
+            self._pending += n
+            self._admitted += n
         return time.perf_counter()
 
     def release(self, admitted_at: float) -> None:

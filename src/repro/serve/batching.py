@@ -12,6 +12,13 @@ oldest request reaching ``max_latency_ms``.  Requests are dispatched in
 strict FIFO submission order, results are delivered through per-request
 futures, and a failing batch propagates its exception to exactly the
 requests that were in it.
+
+The default window, :data:`DEFAULT_MAX_LATENCY_MS`, is zero: the flusher
+takes whatever queued while the previous batch ran, so coalescing under
+load is unchanged and an idle server adds no wait.  A multi-example
+request enters through :meth:`BatchingQueue.submit_many`, which appends its
+rows contiguously under one lock, so a zero window never splits it behind
+another request's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BatchingQueue", "BatchingStats"]
+__all__ = ["DEFAULT_MAX_LATENCY_MS", "BatchingQueue", "BatchingStats"]
+
+# The serving default of every entrypoint (Server, ModelRouter, the serve CLI).
+DEFAULT_MAX_LATENCY_MS = 0.0
 
 
 @dataclass
@@ -91,7 +101,9 @@ class BatchingQueue:
         Flush as soon as this many requests are pending.
     max_latency_ms:
         Flush when the oldest pending request has waited this long, even if
-        the batch is not full — bounds tail latency under light traffic.
+        the batch is not full.  Above zero it only helps bursts that arrive
+        while the flusher is idle; at zero a batch holds whatever queued
+        while the previous one ran.
     latency_window:
         Number of most-recent per-request latencies retained for the
         p50/p99 statistics.
@@ -101,7 +113,7 @@ class BatchingQueue:
         self,
         batch_fn,
         max_batch: int = 32,
-        max_latency_ms: float = 2.0,
+        max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         latency_window: int = 4096,
     ):
         if max_batch < 1:
@@ -126,14 +138,21 @@ class BatchingQueue:
     # ------------------------------------------------------------------
     def submit(self, example) -> Future:
         """Enqueue one example; the future resolves to its output row."""
-        future: Future = Future()
-        entry = _Pending(example, future, time.perf_counter())
+        return self.submit_many([example])[0]
+
+    def submit_many(self, examples) -> list[Future]:
+        """Enqueue a request's examples contiguously, in order, under one lock.
+
+        One future per example; the flusher is woken once.
+        """
+        submitted_at = time.perf_counter()
+        entries = [_Pending(example, Future(), submitted_at) for example in examples]
         with self._wakeup:
             if self._closed:
                 raise RuntimeError("BatchingQueue is closed")
-            self._pending.append(entry)
-            self._wakeup.notify_all()
-        return future
+            self._pending.extend(entries)
+            self._wakeup.notify()
+        return [entry.future for entry in entries]
 
     def predict(self, example, timeout: float | None = None):
         """Blocking convenience wrapper around :meth:`submit`.

@@ -8,6 +8,10 @@ coalesced into shared CSR matmuls exactly like in-process callers.  The
 frontend also fronts a :class:`~repro.serve.router.ModelRouter`, adding
 multi-model routing and the ``/models`` endpoint.
 
+Connections are HTTP/1.1 keep-alive: each reply leaves in one send with
+Nagle's algorithm off, and a connection idle for :data:`KEEPALIVE_TIMEOUT_S`
+is closed.
+
 Endpoints
 ---------
 ``POST /predict``
@@ -55,6 +59,11 @@ __all__ = ["make_http_server", "serve_forever"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 DEFAULT_DEADLINE_S = 30.0
+# Seconds a keep-alive connection may sit idle between requests (uvicorn's
+# default).  server_close() joins every handler thread, and one blocked on
+# an idle socket would otherwise stall shutdown for as long as the client
+# keeps the connection open.
+KEEPALIVE_TIMEOUT_S = 5.0
 
 
 class _PayloadTooLarge(ValueError):
@@ -64,6 +73,17 @@ class _PayloadTooLarge(ValueError):
 class _ServingHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/2.0"
     protocol_version = "HTTP/1.1"
+    # One send per reply: headers and body collect in a buffered wfile that
+    # handle_one_request flushes, and TCP_NODELAY sends it at once.  Sent
+    # as two writes with Nagle on, the body of a reply on a reused
+    # connection waits about 40 ms for the client's delayed ACK.
+    disable_nagle_algorithm = True
+    wbufsize = -1
+
+    @property
+    def timeout(self) -> float:
+        """Per-connection socket timeout: closes idle keep-alive connections."""
+        return KEEPALIVE_TIMEOUT_S
 
     # The handler class is shared; the Server/ModelRouter instance hangs
     # off the ThreadingHTTPServer (see make_http_server).
@@ -193,17 +213,17 @@ class _ServingHandler(BaseHTTPRequestHandler):
             return
         deadline = time.perf_counter() + deadline_s
         start = time.perf_counter()
-        fingerprint = self.serving.fingerprint if router is None else None
         try:
-            futures = []
-            for example in examples:
-                remaining = max(1e-3, deadline - time.perf_counter())
-                if router is not None:
-                    future, deployment = router.submit(example, model=model, deadline_s=remaining)
-                    fingerprint = deployment.fingerprint
-                else:
-                    future = self.serving.submit(example, deadline_s=remaining)
-                futures.append(future)
+            # One enqueue for the whole request: its rows are admitted
+            # together and served by one model version.
+            if router is not None:
+                futures, deployment = router.submit_many(
+                    examples, model=model, deadline_s=deadline_s
+                )
+                fingerprint = deployment.fingerprint
+            else:
+                futures = self.serving.submit_many(examples, deadline_s=deadline_s)
+                fingerprint = self.serving.fingerprint
             outputs = []
             for future in futures:
                 remaining = deadline - time.perf_counter()

@@ -25,7 +25,9 @@ rollout protocol for ``hot_swap(name, new_artifact)`` is:
 
 Submission races are absorbed by a resolve-and-retry loop: a request that
 grabbed the old deployment just as it drained gets transparently
-re-submitted to the new one.
+re-submitted to the new one.  A multi-example request resolves its
+deployment once and enqueues all its rows there (:meth:`ModelRouter.submit_many`),
+so one request is served by one model version even across a swap.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.serve.admission import AdmissionController
 from repro.serve.artifact import ArtifactError, LoadedModel, load_model
+from repro.serve.batching import DEFAULT_MAX_LATENCY_MS
 from repro.serve.pool import ServingPool
 from repro.serve.server import Server
 
@@ -58,7 +61,7 @@ class RouterDeployment:
         generation: int,
         pool_workers: int = 0,
         max_batch: int = 32,
-        max_latency_ms: float = 2.0,
+        max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         admission: AdmissionController | None = None,
         fault_injector=None,
         pool_kwargs: dict | None = None,
@@ -135,7 +138,7 @@ class ModelRouter:
         self,
         *,
         max_batch: int = 32,
-        max_latency_ms: float = 2.0,
+        max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         pool_workers: int = 0,
         admission: AdmissionController | None = None,
         verify: bool = True,
@@ -284,17 +287,27 @@ class ModelRouter:
     def submit(
         self, example, model: str | None = None, deadline_s: float | None = None
     ) -> tuple[Future, RouterDeployment]:
-        """Submit one example; returns (future, serving deployment).
+        """Submit one example; returns (future, serving deployment)."""
+        futures, deployment = self.submit_many([example], model=model, deadline_s=deadline_s)
+        return futures[0], deployment
 
-        The deployment is returned so callers can report *which* model
-        version actually served the request (the chaos harness asserts the
+    def submit_many(
+        self, examples, model: str | None = None, deadline_s: float | None = None
+    ) -> tuple[list[Future], RouterDeployment]:
+        """Submit one request's examples to one deployment.
+
+        Returns (one future per example, serving deployment).  The
+        deployment is resolved once for the whole request, so every row is
+        served by the model version returned — callers report *which*
+        version served the request (the chaos harness asserts the
         fingerprint flip is atomic).  A submit that races a hot-swap drain
-        is retried against the freshly resolved deployment.
+        is retried, whole, against the freshly resolved deployment.
         """
         for _ in range(8):
             deployment = self.resolve(model)
             try:
-                return deployment.server.submit(example, deadline_s=deadline_s), deployment
+                futures = deployment.server.submit_many(examples, deadline_s=deadline_s)
+                return futures, deployment
             except RuntimeError as exc:
                 if "closed" not in str(exc):
                     raise

@@ -22,7 +22,7 @@ from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 from repro.serve.artifact import LoadedModel, load_model
-from repro.serve.batching import BatchingQueue
+from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatchingQueue
 from repro.serve.preprocess import Preprocessor
 
 __all__ = ["Server"]
@@ -47,8 +47,8 @@ class Server:
         coalesced batches out across worker processes.
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`.
-        When set, :meth:`submit` calls ``acquire`` before enqueueing and
-        releases the slot when the request's future resolves, so the
+        When set, :meth:`submit_many` takes one slot per example before
+        enqueueing and releases each when its future resolves, so the
         bounded-queue and deadline-rejection rules apply to every caller
         (HTTP and in-process alike).
     fault_injector:
@@ -62,7 +62,7 @@ class Server:
         model: LoadedModel | Module,
         *,
         max_batch: int = 32,
-        max_latency_ms: float = 2.0,
+        max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         batching: bool = True,
         forward_override=None,
         admission=None,
@@ -118,37 +118,48 @@ class Server:
         return self._forward(self.preprocessor(np.asarray(inputs)))
 
     def submit(self, example, deadline_s: float | None = None) -> Future:
-        """Asynchronous single-example path through the batching queue.
+        """Asynchronous single-example path; see :meth:`submit_many`."""
+        return self.submit_many([example], deadline_s=deadline_s)[0]
 
-        With an admission controller attached this may raise
-        :class:`~repro.serve.admission.AdmissionRejected` instead of
-        queueing; ``deadline_s`` (remaining budget in seconds) feeds its
-        deadline-aware rejection rule.
+    def submit_many(self, examples, deadline_s: float | None = None) -> list[Future]:
+        """Enqueue one request's examples together; one future per example.
+
+        Every example is preprocessed before anything is admitted, so a
+        malformed one raises ``ValueError`` with nothing queued.  With an
+        admission controller attached the request takes its slots
+        all-or-nothing or raises
+        :class:`~repro.serve.admission.AdmissionRejected`; ``deadline_s``
+        (remaining budget in seconds) feeds its deadline-aware rule.
         """
-        example = self.preprocessor(np.asarray(example)[None])[0]
+        rows = [self.preprocessor(np.asarray(example)[None])[0] for example in examples]
         admitted_at = None
         if self.admission is not None:
-            admitted_at = self.admission.acquire(deadline_s)
+            admitted_at = self.admission.acquire(deadline_s, n=len(rows))
         try:
             if self._queue is None:
-                future: Future = Future()
-                try:
-                    future.set_result(self._forward(example[None])[0])
-                except BaseException as exc:
-                    future.set_exception(exc)
+                futures = [self._run_unbatched(row) for row in rows]
             else:
-                future = self._queue.submit(example)
+                futures = self._queue.submit_many(rows)
         except BaseException:
             if admitted_at is not None:
-                self.admission.release(admitted_at)
+                for _ in rows:
+                    self.admission.release(admitted_at)
             raise
         if admitted_at is not None:
-            release_at = admitted_at
 
-            def _release(_future, _self=self, _at=release_at):
+            def _release(_future, _self=self, _at=admitted_at):
                 _self.admission.release(_at)
 
-            future.add_done_callback(_release)
+            for future in futures:
+                future.add_done_callback(_release)
+        return futures
+
+    def _run_unbatched(self, row: np.ndarray) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(self._forward(row[None])[0])
+        except BaseException as exc:
+            future.set_exception(exc)
         return future
 
     def predict_one(self, example, timeout: float | None = None) -> np.ndarray:

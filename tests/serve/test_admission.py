@@ -30,6 +30,21 @@ class TestQueueBound:
         ctl.release(token)
         assert ctl.pending == 0
 
+    def test_multi_slot_acquire_is_all_or_nothing(self):
+        ctl = AdmissionController(max_pending=3)
+        token = ctl.acquire()
+        with pytest.raises(AdmissionRejected) as info:
+            ctl.acquire(n=3)  # two slots free: takes none of them
+        assert info.value.reason == "queue_full"
+        assert ctl.pending == 1
+        batch = ctl.acquire(n=2)
+        assert ctl.pending == 3
+        for at in (token, batch, batch):
+            ctl.release(at)
+        snap = ctl.snapshot()
+        assert (snap["pending"], snap["admitted"], snap["completed"]) == (0, 3, 3)
+        assert snap["rejected_queue_full"] == 1
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="max_pending"):
             AdmissionController(max_pending=0)

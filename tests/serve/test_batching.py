@@ -1,5 +1,6 @@
 """BatchingQueue: coalescing, FIFO ordering, flush policy, failure paths."""
 
+import sys
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -142,6 +143,101 @@ class TestConcurrentOrdering:
             for future in futures:
                 future.result(timeout=10)
         assert max(sizes) > 1  # at least some requests shared a matmul
+
+
+class TestSubmitMany:
+    def test_request_rows_arrive_in_one_batch_contiguous_and_in_order(self):
+        """A zero window cannot interleave or split a request's rows."""
+        batches: list[np.ndarray] = []
+        running = threading.Event()
+        gate = threading.Event()
+
+        def gated(batch):
+            running.set()
+            gate.wait(timeout=10)
+            batches.append(batch.reshape(-1).copy())
+            return batch
+
+        with BatchingQueue(gated, max_batch=32, max_latency_ms=0.0) as queue:
+            first = queue.submit(np.array([-1.0], np.float32))
+            assert running.wait(timeout=10)  # flusher busy: the rest queue up
+            before = queue.submit(np.array([100.0], np.float32))
+            rows = [np.array([float(i)], np.float32) for i in range(5)]
+            futures = queue.submit_many(rows)
+            after = queue.submit(np.array([200.0], np.float32))
+            gate.set()
+            for future in [first, before, *futures, after]:
+                future.result(timeout=10)
+
+        assert [b.tolist() for b in batches] == [[-1.0], [100.0, 0, 1, 2, 3, 4, 200.0]]
+        for i, future in enumerate(futures):
+            assert np.array_equal(future.result(), [float(i)])
+
+    def test_concurrent_requests_stay_contiguous(self):
+        batches: list[np.ndarray] = []
+
+        def record(batch):
+            batches.append(batch.reshape(-1).copy())
+            return batch
+
+        n_clients, per_client, rows = 6, 10, 4
+        errors: list[BaseException] = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # provoke interleaving inside submit_many
+        try:
+            with BatchingQueue(record, max_batch=64, max_latency_ms=0.0) as queue:
+
+                def client(client_id: int) -> None:
+                    try:
+                        for request in range(per_client):
+                            base = client_id * 1000 + request * 10
+                            examples = [np.array([base + i], np.float32) for i in range(rows)]
+                            for i, future in enumerate(queue.submit_many(examples)):
+                                assert future.result(timeout=10)[0] == base + i
+                    except BaseException as exc:  # surface in the main thread
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(n_clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        assert not errors
+        seen = 0
+        for batch in batches:
+            assert len(batch) % rows == 0
+            for start in range(0, len(batch), rows):
+                request = batch[start:start + rows]
+                assert request.tolist() == [request[0] + i for i in range(rows)]
+            seen += len(batch)
+        assert seen == n_clients * per_client * rows
+
+    def test_submit_is_submit_many_of_one(self):
+        def affine(batch):
+            return batch * 3.0 + 1.0
+
+        x = np.array([0.5, -2.0], np.float32)
+        with BatchingQueue(affine, max_batch=4, max_latency_ms=0.0) as queue:
+            single = queue.submit(x).result(timeout=5)
+            (many,) = queue.submit_many([x])
+            many = many.result(timeout=5)
+            stats = queue.stats()
+        assert np.array_equal(single, affine(x[None])[0])
+        assert np.array_equal(many, single)
+        assert stats["requests"] == 2
+
+    def test_submit_many_on_closed_queue_enqueues_nothing(self):
+        queue = BatchingQueue(identity_batch, max_latency_ms=0.0)
+        queue.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            queue.submit_many([np.zeros(1, np.float32)] * 3)
+        assert queue.stats()["requests"] == 0
 
 
 class TestLifecycleAndErrors:

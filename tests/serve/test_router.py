@@ -1,5 +1,7 @@
 """ModelRouter: named deployments, hot-swap protocol, automatic rollback."""
 
+import http.client
+import json
 import threading
 
 import numpy as np
@@ -12,6 +14,7 @@ from repro.serve import (
     corrupt_artifact,
     export_model,
     load_model,
+    make_http_server,
 )
 from repro.sparse import MaskedModel
 from repro.sparse.inference import compile_sparse_model
@@ -174,3 +177,43 @@ class TestHotSwap:
             else:
                 assert fingerprint == new_loaded.fingerprint
                 assert np.array_equal(out, want_new)
+
+
+class TestRequestAtomicity:
+    def test_swap_between_rows_serves_the_request_from_one_version(self, artifacts):
+        """A hot-swap that lands while a request's rows are being enqueued
+        must not mix old and new weights under one reported fingerprint."""
+        v1, v2 = artifacts
+        by_fingerprint = {loaded.fingerprint: loaded for loaded in map(load_model, (v1, v2))}
+        x = RNG.standard_normal((3, 20)).astype(np.float32)
+        with ModelRouter() as router:
+            router.deploy("clf", v1)
+            old_server = router.resolve("clf").server
+            preprocess = old_server.preprocessor
+            calls = []
+
+            def swap_after_first_row(batch):
+                calls.append(batch)
+                if len(calls) == 2:
+                    router.hot_swap("clf", v2)
+                return preprocess(batch)
+
+            old_server.preprocessor = swap_after_first_row
+            httpd = make_http_server(router, port=0)
+            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+            thread.start()
+            conn = http.client.HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=30)
+            try:
+                conn.request("POST", "/predict", json.dumps({"inputs": x.tolist()}),
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+                httpd.shutdown()
+                httpd.server_close()
+        assert response.status == 200
+        assert len(calls) >= 2  # the swap fired mid-request
+        served = by_fingerprint[payload["fingerprint"]]
+        got = np.asarray(payload["outputs"], dtype=np.float32)
+        assert np.array_equal(got, served.predict(x))

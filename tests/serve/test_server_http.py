@@ -1,7 +1,9 @@
 """Server predict paths + the stdlib HTTP JSON frontend."""
 
+import http.client
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -13,6 +15,7 @@ import pytest
 from repro.models import MLP
 from repro.serve import (
     AdmissionController,
+    AdmissionRejected,
     ModelRouter,
     Server,
     export_model,
@@ -20,6 +23,7 @@ from repro.serve import (
     make_http_server,
     malformed_payloads,
 )
+from repro.serve import http as serve_http
 from repro.sparse import MaskedModel
 from repro.sparse.inference import compile_sparse_model
 
@@ -79,6 +83,34 @@ class TestServer:
         with Server.from_artifact(artifact_path) as server:
             with pytest.raises(ValueError, match="input_shape"):
                 server.predict(np.zeros((2, 5), np.float32))
+
+    def test_request_rejected_partway_takes_no_slot_and_queues_nothing(self, artifact_path):
+        loaded = load_model(artifact_path)
+        batches: list[int] = []
+        gate = threading.Event()
+
+        def gated_forward(batch):
+            gate.wait(timeout=10)
+            batches.append(batch.shape[0])
+            return loaded.predict(batch)
+
+        admission = AdmissionController(max_pending=2)
+        x = RNG.standard_normal((3, 3, 3)).astype(np.float32)
+        server = Server(loaded, forward_override=gated_forward, admission=admission)
+        try:
+            in_flight = server.submit(x)
+            with pytest.raises(AdmissionRejected):
+                server.submit_many([x, x])  # needs 2 slots, 1 is free
+            assert admission.pending == 1
+            gate.set()
+            assert np.array_equal(in_flight.result(timeout=10), loaded.predict(x[None])[0])
+        finally:
+            gate.set()
+            server.close()
+        assert batches == [1]
+        assert server.stats()["requests"] == 1
+        snap = admission.snapshot()
+        assert (snap["pending"], snap["admitted"], snap["rejected_queue_full"]) == (0, 1, 1)
 
     def test_stats_exposes_fingerprint_and_counts(self, artifact_path):
         with Server.from_artifact(artifact_path) as server:
@@ -235,6 +267,98 @@ class TestHttp:
         assert len(outputs) == 12
         for out in outputs:
             assert np.allclose(out, expected, atol=1e-6)
+
+
+def _read_response(reader) -> tuple[int, dict, bytes]:
+    """Read one HTTP/1.1 response off a socket file: status, headers, body."""
+    status = int(reader.readline().split(b" ", 2)[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
+
+
+class TestKeepAlive:
+    def test_sequential_requests_reuse_one_connection_without_stalling(self, http_serving):
+        client, loaded = http_serving
+        port = int(client.base.rsplit(":", 1)[1])
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        times = []
+        sockets = set()
+        try:
+            for _ in range(30):
+                x = RNG.standard_normal((1, 3, 3, 3)).astype(np.float32)
+                began = time.perf_counter()
+                conn.request("POST", "/predict", json.dumps({"inputs": x.tolist()}),
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                times.append(time.perf_counter() - began)
+                assert response.status == 200
+                got = np.asarray(body["outputs"], dtype=np.float32)
+                assert np.array_equal(got, loaded.predict(x))
+                sockets.add(conn.sock)
+        finally:
+            conn.close()
+        assert len(sockets) == 1  # the connection was never reopened
+        # A reply split into two sends with Nagle on waits ~40 ms for the
+        # client's delayed ACK on every reused connection.
+        assert statistics.median(times) < 0.020
+
+    def test_error_on_reused_connection_arrives_whole_then_closes(self, http_serving):
+        client, _ = http_serving
+        host, port = client.base.removeprefix("http://").split(":")
+        good = json.dumps({"inputs": [[0.0] * 27]}).encode()
+        bad = b"{not json"
+
+        def request(body: bytes) -> bytes:
+            return (
+                b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+
+        with (
+            socket.create_connection((host, int(port)), timeout=10) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(request(good))
+            status, headers, body = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") != "close"
+            sock.sendall(request(bad))
+            status, headers, body = _read_response(reader)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "error" in json.loads(body)
+            sock.settimeout(2.0)  # well under the idle keep-alive timeout
+            assert reader.read() == b""  # the server closed the connection
+
+    def test_idle_keepalive_client_does_not_block_graceful_drain(
+        self, artifact_path, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "KEEPALIVE_TIMEOUT_S", 0.3)
+        server = Server(load_model(artifact_path))
+        httpd = make_http_server(server, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()  # connection now idle, kept alive
+
+            def stop():
+                httpd.shutdown()
+                httpd.server_close()  # joins the idle connection's thread
+
+            stopper = threading.Thread(target=stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5.0)
+            assert not stopper.is_alive(), "server_close blocked on an idle connection"
+        finally:
+            conn.close()
+            server.close()
 
 
 @pytest.fixture
