@@ -21,8 +21,18 @@ across data-parallel gradient workers inside one run.  The heavyweight
 table benches live in ``benchmarks/``; this CLI is for single cells and
 ad-hoc grids.
 
+One knob table: the flags that ``run``, ``sweep``, ``export``, ``run-rl``,
+``run-gan`` and ``run-lm`` share are generated from the rows of
+:data:`repro.experiments.workload.KNOBS` (spelling, type, choices, help)
+and default to the workload's map in
+:data:`repro.experiments.workload.DEFAULTS`, the same defaults the
+entrypoints resolve.  The image subcommands override ``--lr``,
+``--delta-t`` and ``--epochs`` with the ``small`` scale.  Each run command
+hands its entrypoint one ``WorkloadConfig`` built from the parsed table
+flags, plus its own workload-specific flags (``--gamma``, ``--n-layer``...).
+
 Fault tolerance: ``--checkpoint-dir`` writes resume-exact training
-checkpoints during ``run`` and ``sweep``; after a crash or preemption,
+checkpoints during every training subcommand; after a crash or preemption,
 rerunning the same command with ``--resume`` continues bitwise-identically
 — completed sweep cells are skipped, partial cells restore mid-epoch.  See
 ``docs/checkpointing.md``.
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.experiments.registry import (
     ALL_METHODS,
@@ -47,8 +58,82 @@ from repro.experiments.registry import (
     RL_METHODS,
     method_family,
 )
+from repro.experiments.workload import DEFAULTS, KNOBS, WorkloadConfig
 
 __all__ = ["build_parser", "main"]
+
+
+# The knob-table rows (repro.experiments.workload.KNOBS) each training
+# subcommand exposes, and the workload whose DEFAULTS they take.
+_SCHEDULE = "method sparsity distribution delta_t c epsilon batch_size lr seed"
+_CHECKPOINT = (
+    "checkpoint_dir checkpoint_every_epochs checkpoint_every_steps checkpoint_keep_last resume"
+)
+_SUBCOMMAND_KNOBS = {
+    command: tuple(names.split())
+    for command, names in {
+        "run": f"{_SCHEDULE} {_CHECKPOINT} epochs block_size sparse_backend n_workers seeds nproc",
+        "sweep": f"{_CHECKPOINT} epochs batch_size lr delta_t block_size sparse_backend seed "
+        "seeds nproc",
+        "export": f"{_SCHEDULE} {_CHECKPOINT} epochs block_size sparse_backend out",
+        "run-rl": f"{_SCHEDULE} {_CHECKPOINT} drop_fraction total_steps sparse_backend seeds "
+        "nproc out",
+        "run-gan": f"{_SCHEDULE} drop_fraction total_steps seeds nproc checkpoint_dir "
+        "checkpoint_every_steps checkpoint_keep_last resume",
+        "run-lm": f"{_SCHEDULE} {_CHECKPOINT} drop_fraction epochs block_size sparse_backend "
+        "n_workers seeds nproc out",
+    }.items()
+}
+_WORKLOAD = {
+    "run": "image",
+    "sweep": "image",
+    "export": "image",
+    "run-rl": "rl",
+    "run-gan": "gan",
+    "run-lm": "lm",
+}
+_METHODS = {"image": ALL_METHODS, "rl": RL_METHODS, "gan": GAN_METHODS, "lm": LM_METHODS}
+_MODELS = ("vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp")
+# The image subcommands' own defaults: the `small` Scale, not the
+# entrypoint's (perfbench calls run_image_classification on those).
+_IMAGE_CLI_DEFAULTS = {"lr": 0.05, "delta_t": 6, "epochs": 4}
+
+
+def _add_knobs(parser: argparse.ArgumentParser, command: str, required=(), **defaults) -> None:
+    """Declare ``command``'s knob-table flags on ``parser``.
+
+    Defaults come from the workload's map in ``DEFAULTS``, then
+    ``defaults``; every subcommand defaults ``--method`` to ``dst_ee``.
+    """
+    workload = _WORKLOAD[command]
+    defaults = {**DEFAULTS[workload], "method": "dst_ee", **defaults}
+    for name in _SUBCOMMAND_KNOBS[command]:
+        knob = KNOBS[name]
+        kwargs = {"help": knob.help}
+        if knob.action is not None:
+            kwargs["action"] = knob.action
+        else:
+            choices = _METHODS[workload] if name == "method" else knob.choices
+            kwargs.update(type=knob.type, nargs=knob.nargs, choices=choices)
+        if name in required:
+            kwargs["required"] = True
+        elif name in defaults:
+            kwargs["default"] = defaults[name]
+        parser.add_argument(knob.flag, **kwargs)
+
+
+def _image_parser(sub, command: str, summary: str, model=None, required=(), **defaults):
+    """A subcommand training on the synthetic image datasets (``--model`` unless ``None``)."""
+    parser = sub.add_parser(command, help=summary)
+    parser.add_argument("--dataset", default="cifar10", choices=["cifar10", "cifar100", "imagenet"])
+    parser.add_argument("--width-mult", type=float, default=0.2)
+    parser.add_argument("--n-train", type=int, default=1024)
+    parser.add_argument("--n-test", type=int, default=512)
+    parser.add_argument("--image-size", type=int, default=12)
+    if model is not None:
+        parser.add_argument("--model", default=model, choices=_MODELS)
+    _add_knobs(parser, command, required, **{**_IMAGE_CLI_DEFAULTS, **defaults})
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,104 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Training/dataset knobs shared by `run` and `sweep` — declared once so
-    # the two entry points cannot drift apart.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", default="cifar10", choices=["cifar10", "cifar100", "imagenet"])
-    common.add_argument("--batch-size", type=int, default=64)
-    common.add_argument("--lr", type=float, default=0.05)
-    common.add_argument("--delta-t", type=int, default=6)
-    common.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="block-structured mask tile size (1 = unstructured; "
-        "default: REPRO_SPARSE_BLOCK_SIZE or 1)",
-    )
-    common.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "bsr", "dense"],
-        help="execution backend for masked layers during training "
-        "(see docs/performance.md; default: plain masked-dense)",
-    )
-    common.add_argument("--width-mult", type=float, default=0.2)
-    common.add_argument("--n-train", type=int, default=1024)
-    common.add_argument("--n-test", type=int, default=512)
-    common.add_argument("--image-size", type=int, default=12)
-    common.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for cell/seed sharding " "(default: REPRO_NPROC, 1 = serial)",
-    )
-    common.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact training checkpoints here " "(see docs/checkpointing.md)",
-    )
-    common.add_argument(
-        "--checkpoint-every-epochs",
-        type=int,
-        default=1,
-        help="epoch checkpoint cadence (with --checkpoint-dir)",
-    )
-    common.add_argument(
-        "--checkpoint-every-steps",
-        type=int,
-        default=None,
-        help="additional step-granularity checkpoint cadence",
-    )
-    common.add_argument(
-        "--keep-last",
-        type=int,
-        default=None,
-        help="retain only the newest K checkpoints per run",
-    )
-    common.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in "
-        "--checkpoint-dir (bitwise-identical to an "
-        "uninterrupted run)",
-    )
+    _image_parser(sub, "run", "one image-classification training run", model="vgg19")
 
-    run = sub.add_parser("run", parents=[common], help="one image-classification training run")
-    run.add_argument("--method", default="dst_ee", choices=ALL_METHODS)
-    run.add_argument(
-        "--model",
-        default="vgg19",
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
-    )
-    run.add_argument("--sparsity", type=float, default=0.9)
-    run.add_argument("--epochs", type=int, default=4)
-    run.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run.add_argument("--epsilon", type=float, default=1.0)
-    run.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="run the paper's multi-seed protocol over these seeds",
-    )
-    run.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help="data-parallel gradient workers per run (0 = in-process)",
-    )
-
-    sweep = sub.add_parser(
+    sweep = _image_parser(
+        sub,
         "sweep",
-        parents=[common],
-        help="grid of (method x model x sparsity x seed) cells",
+        "grid of (method x model x sparsity x seed) cells",
+        epochs=2,
+        seeds=[0],
     )
     sweep.add_argument(
         "--methods",
@@ -163,28 +158,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=["set", "rigl", "dst_ee"],
         choices=ALL_METHODS,
     )
-    sweep.add_argument(
-        "--models",
-        nargs="+",
-        default=["vgg11"],
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
-    )
+    sweep.add_argument("--models", nargs="+", default=["vgg11"], choices=_MODELS)
     sweep.add_argument("--sparsities", type=float, nargs="+", default=[0.9])
-    sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
     sweep.add_argument(
         "--root-seed",
         type=int,
         default=None,
         help="derive per-cell seeds from this root via SeedSequence.spawn",
     )
-    sweep.add_argument("--epochs", type=int, default=2)
-    sweep.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+
+    _image_parser(
+        sub,
+        "export",
+        "train one configuration and write a serving artifact",
+        model="mlp",
+        required=("out",),
+        sparsity=0.95,
+    )
 
     run_rl = sub.add_parser("run-rl", help="one DQN training run on a classic-control environment")
     run_rl.add_argument("--env", default="cartpole", choices=["cartpole", "acrobot"])
-    run_rl.add_argument("--method", default="dst_ee", choices=RL_METHODS)
-    run_rl.add_argument("--sparsity", type=float, default=0.9)
-    run_rl.add_argument("--total-steps", type=int, default=5000)
     run_rl.add_argument(
         "--hidden",
         type=int,
@@ -192,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[256, 256],
         help="Q-network widths",
     )
-    run_rl.add_argument("--batch-size", type=int, default=64)
-    run_rl.add_argument("--lr", type=float, default=1e-3)
     run_rl.add_argument("--gamma", type=float, default=0.99)
     run_rl.add_argument("--buffer-capacity", type=int, default=10_000)
     run_rl.add_argument("--warmup-steps", type=int, default=500)
@@ -218,74 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.4,
         help="fraction of total steps over which epsilon decays",
     )
-    run_rl.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in gradient steps",
-    )
-    run_rl.add_argument("--drop-fraction", type=float, default=0.3)
-    run_rl.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_rl.add_argument(
-        "--ee-epsilon",
-        type=float,
-        default=1.0,
-        help="DST-EE epsilon (distinct from epsilon-greedy)",
-    )
-    run_rl.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run_rl.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "bsr", "dense"],
-        help="execution backend for the masked Q-network layers "
-        "(see docs/performance.md; default: plain masked-dense)",
-    )
-    run_rl.add_argument("--seed", type=int, default=0)
-    run_rl.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_rl.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_rl.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact RL training checkpoints here",
-    )
-    run_rl.add_argument("--checkpoint-every-episodes", type=int, default=1)
-    run_rl.add_argument("--checkpoint-every-steps", type=int, default=None)
-    run_rl.add_argument("--keep-last", type=int, default=None)
-    run_rl.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
-    run_rl.add_argument(
-        "--out",
-        default=None,
-        help="export the trained policy net as a serving artifact",
-    )
+    _add_knobs(run_rl, "run-rl")
 
     run_gan = sub.add_parser(
         "run-gan",
         help="one sparse-GAN run on a synthetic 2-D Gaussian mixture",
     )
     run_gan.add_argument("--mixture", default="ring8", choices=["ring4", "ring8", "grid9"])
-    run_gan.add_argument("--method", default="dst_ee", choices=GAN_METHODS)
-    run_gan.add_argument("--sparsity", type=float, default=0.9)
-    run_gan.add_argument("--total-steps", type=int, default=2000)
     run_gan.add_argument(
         "--hidden",
         type=int,
@@ -294,23 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator/discriminator MLP widths",
     )
     run_gan.add_argument("--latent-dim", type=int, default=8)
-    run_gan.add_argument("--batch-size", type=int, default=64)
-    run_gan.add_argument("--lr", type=float, default=1e-3)
-    run_gan.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in generator/discriminator steps",
-    )
-    run_gan.add_argument("--drop-fraction", type=float, default=0.3)
-    run_gan.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_gan.add_argument("--ee-epsilon", type=float, default=1.0)
-    run_gan.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
     run_gan.add_argument(
         "--balance-max-shift",
         type=float,
@@ -324,132 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="G<->D rebalance cadence (default: --delta-t)",
     )
     run_gan.add_argument("--n-eval-samples", type=int, default=2000)
-    run_gan.add_argument("--seed", type=int, default=0)
-    run_gan.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_gan.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_gan.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact GAN training checkpoints here",
-    )
-    run_gan.add_argument("--checkpoint-every-steps", type=int, default=200)
-    run_gan.add_argument("--keep-last", type=int, default=None)
-    run_gan.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
+    _add_knobs(run_gan, "run-gan")
 
     run_lm = sub.add_parser(
         "run-lm",
         help="one sparse char-GPT language-model run on the synthetic prose corpus",
     )
     run_lm.add_argument("--corpus", default="markov-prose", choices=["markov-prose"])
-    run_lm.add_argument("--method", default="dst_ee", choices=LM_METHODS)
-    run_lm.add_argument("--sparsity", type=float, default=0.9)
-    run_lm.add_argument("--epochs", type=int, default=3)
     run_lm.add_argument("--n-chars", type=int, default=65536, help="corpus size in characters")
     run_lm.add_argument("--block-len", type=int, default=32, help="context window length")
     run_lm.add_argument("--n-layer", type=int, default=2)
     run_lm.add_argument("--n-head", type=int, default=2)
     run_lm.add_argument("--n-embd", type=int, default=64)
-    run_lm.add_argument("--batch-size", type=int, default=32)
-    run_lm.add_argument("--lr", type=float, default=1e-3)
-    run_lm.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in gradient steps",
-    )
-    run_lm.add_argument("--drop-fraction", type=float, default=0.3)
-    run_lm.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_lm.add_argument("--epsilon", type=float, default=1.0)
-    run_lm.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run_lm.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="block-structured masks with this tile edge (dynamic methods)",
-    )
-    run_lm.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "blocked", "dense"],
-        help="training-time sparse compute backend",
-    )
-    run_lm.add_argument("--seed", type=int, default=0)
-    run_lm.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_lm.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_lm.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help="data-parallel gradient workers inside the run",
-    )
-    run_lm.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact LM training checkpoints here",
-    )
-    run_lm.add_argument("--checkpoint-every-epochs", type=int, default=1)
-    run_lm.add_argument("--checkpoint-every-steps", type=int, default=None)
-    run_lm.add_argument("--keep-last", type=int, default=None)
-    run_lm.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
-    run_lm.add_argument(
-        "--out",
-        default=None,
-        help="export the trained model as a serving artifact (.npz)",
-    )
-
-    export = sub.add_parser(
-        "export",
-        parents=[common],
-        help="train one configuration and write a serving artifact",
-    )
-    export.add_argument("--method", default="dst_ee", choices=ALL_METHODS)
-    export.add_argument(
-        "--model",
-        default="mlp",
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
-    )
-    export.add_argument("--sparsity", type=float, default=0.95)
-    export.add_argument("--epochs", type=int, default=4)
-    export.add_argument("--c", type=float, default=1e-3)
-    export.add_argument("--epsilon", type=float, default=1.0)
-    export.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--out", required=True, help="artifact path to write (.npz)")
+    _add_knobs(run_lm, "run-lm")
 
     from repro.serve.batching import DEFAULT_MAX_LATENCY_MS
 
@@ -586,50 +386,66 @@ def _model_factory(args, num_classes: int):
     return _model_builders(args, num_classes)[args.model]
 
 
-def _checkpoint_kwargs(args) -> dict:
-    """Shared checkpoint/resume plumbing for single runs."""
+_CONFIG_FIELDS = frozenset(spec.name for spec in fields(WorkloadConfig))
+
+
+def _knob_values(args) -> dict:
+    """The WorkloadConfig fields the subcommand parsed, by field name."""
+    return {
+        name: getattr(args, KNOBS[name].dest)
+        for name in _SUBCOMMAND_KNOBS[args.command]
+        if name in _CONFIG_FIELDS
+    }
+
+
+def _workload_config(args) -> WorkloadConfig:
+    """One run's WorkloadConfig, with ``--resume`` read from ``--checkpoint-dir``."""
+    resume_from = args.checkpoint_dir if args.resume else None
+    return WorkloadConfig(**_knob_values(args), resume_from=resume_from)
+
+
+def _own_kwargs(args, *positional: str) -> dict:
+    """The subcommand's workload-specific flags (``--gamma``, ``--n-layer``...).
+
+    Their dests are the entrypoint's keyword names; ``positional`` names
+    the ones passed positionally instead (``--env``, ``--mixture``...).
+    """
+    table = {KNOBS[name].dest for name in _SUBCOMMAND_KNOBS[args.command]}
+    skip = table | {"command", *positional}
+    return {name: value for name, value in vars(args).items() if name not in skip}
+
+
+def _check_run_flags(args) -> None:
+    """Reject flag combinations a training subcommand cannot honour."""
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    if not args.checkpoint_dir:
-        return {}
-    return {
-        "checkpoint_dir": args.checkpoint_dir,
-        "checkpoint_every_epochs": args.checkpoint_every_epochs,
-        "checkpoint_every_steps": args.checkpoint_every_steps,
-        "checkpoint_keep_last": args.keep_last,
-        "resume_from": args.checkpoint_dir if args.resume else None,
-    }
+    # A sweep's --seeds are its cells, each checkpointed in its own directory.
+    if args.command == "sweep" or getattr(args, "seeds", None) is None:
+        return
+    if args.checkpoint_dir:
+        raise SystemExit(
+            f"--checkpoint-dir with --seeds is not supported by `{args.command}` "
+            "(every seed would share one directory); use `sweep` or run_rl_sweep / "
+            "run_gan_sweep / run_lm_sweep for resumable multi-seed grids"
+        )
+    if getattr(args, "out", None):
+        raise SystemExit("--out exports a single run; drop --seeds")
 
 
 def _command_run(args) -> int:
     from repro.experiments.runner import run_image_classification, run_multi_seed
 
-    checkpoint_kwargs = _checkpoint_kwargs(args)
+    config = _workload_config(args)
     data = _dataset(args)
+    factory = _model_factory(args, data.num_classes)
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run` "
-                "(every seed would share one directory); use `sweep` for "
-                "resumable multi-seed grids"
-            )
         mean, std, results = run_multi_seed(
             args.method,
-            _model_factory(args, data.num_classes),
+            factory,
             data,
             seeds=tuple(args.seeds),
             n_proc=args.nproc,
-            sparsity=args.sparsity,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            delta_t=args.delta_t,
-            c=args.c,
-            epsilon=args.epsilon,
-            distribution=args.distribution,
-            block_size=args.block_size,
-            sparse_backend=args.sparse_backend,
-            n_workers=args.n_workers,
+            config=config,
         )
         print(f"method:               {args.method}")
         print(f"dataset:              {data.name}")
@@ -641,24 +457,7 @@ def _command_run(args) -> int:
             )
         print(f"accuracy:             {mean:.4f} ± {std:.4f}")
         return 0
-    result = run_image_classification(
-        args.method,
-        _model_factory(args, data.num_classes),
-        data,
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
-        seed=args.seed,
-        n_workers=args.n_workers,
-        **checkpoint_kwargs,
-    )
+    result = run_image_classification(args.method, factory, data, config=config)
     print(f"method:               {result.method}")
     print(f"dataset:              {result.dataset}")
     print(f"final accuracy:       {result.final_accuracy:.4f}")
@@ -687,30 +486,16 @@ def _command_sweep(args) -> int:
         seeds=args.seeds,
         root_seed=args.root_seed,
     )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
-    sweep_kwargs = {}
-    if args.checkpoint_dir:
-        sweep_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "resume": args.resume,
-            "checkpoint_every_epochs": args.checkpoint_every_epochs,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-        }
+    knobs = _knob_values(args)
+    del knobs["seed"]  # seeds the dataset; every cell carries its own run seed
     builders = _model_builders(args, data.num_classes)
     report = run_sweep(
         cells,
         {name: (lambda num_classes, b=builders[name]: b) for name in args.models},
         {args.dataset: data},
         n_proc=args.nproc,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
-        **sweep_kwargs,
+        resume=args.resume,
+        **knobs,
     )
     rows = [
         {
@@ -747,45 +532,16 @@ def _command_run_rl(args) -> int:
     from repro.experiments.rl import run_rl, run_rl_multi_seed
     from repro.rl.envs import ENV_REGISTRY
 
-    rl_kwargs = dict(
-        sparsity=args.sparsity,
-        total_steps=args.total_steps,
-        hidden=tuple(args.hidden),
-        batch_size=args.batch_size,
-        lr=args.lr,
-        gamma=args.gamma,
-        buffer_capacity=args.buffer_capacity,
-        warmup_steps=args.warmup_steps,
-        train_every=args.train_every,
-        target_sync_every=args.target_sync_every,
-        epsilon_start=args.epsilon_start,
-        epsilon_end=args.epsilon_end,
-        epsilon_decay_fraction=args.epsilon_decay_fraction,
-        huber_delta=args.huber_delta,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.ee_epsilon,
-        distribution=args.distribution,
-        sparse_backend=args.sparse_backend,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    config = _workload_config(args)
+    kwargs = _own_kwargs(args, "env")
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-rl` "
-                "(every seed would share one directory); use run_rl_sweep for "
-                "resumable multi-seed grids"
-            )
-        if args.out:
-            raise SystemExit("--out exports a single run; drop --seeds")
         mean, std, results = run_rl_multi_seed(
             args.method,
             args.env,
             seeds=tuple(args.seeds),
             n_proc=args.nproc,
-            **rl_kwargs,
+            config=config,
+            **kwargs,
         )
         print(f"method:               {args.method}")
         print(f"environment:          {args.env}")
@@ -802,23 +558,7 @@ def _command_run_rl(args) -> int:
         print(f"solved seeds:         {sum(1 for r in results if r.solved)}" f"/{len(results)}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_epochs": args.checkpoint_every_episodes,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
-    result = run_rl(
-        args.method,
-        args.env,
-        seed=args.seed,
-        keep_model=bool(args.out),
-        **rl_kwargs,
-        **checkpoint_kwargs,
-    )
+    result = run_rl(args.method, args.env, config=config, keep_model=bool(args.out), **kwargs)
     print(f"method:               {result.method}")
     print(f"environment:          {result.env}")
     print(f"episodes:             {result.episodes}")
@@ -878,42 +618,16 @@ def _command_run_rl(args) -> int:
 def _command_run_lm(args) -> int:
     from repro.experiments.lm import run_lm, run_lm_multi_seed
 
-    lm_kwargs = dict(
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        n_chars=args.n_chars,
-        block_len=args.block_len,
-        n_layer=args.n_layer,
-        n_head=args.n_head,
-        n_embd=args.n_embd,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
-        n_workers=args.n_workers,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    config = _workload_config(args)
+    kwargs = _own_kwargs(args, "corpus")
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-lm` "
-                "(every seed would share one directory); use run_lm_sweep for "
-                "resumable multi-seed grids"
-            )
-        if args.out:
-            raise SystemExit("--out exports a single run; drop --seeds")
         mean, std, results = run_lm_multi_seed(
             args.method,
             args.corpus,
             seeds=tuple(args.seeds),
             n_proc=args.nproc,
-            **lm_kwargs,
+            config=config,
+            **kwargs,
         )
         print(f"method:               {args.method}")
         print(f"corpus:               {args.corpus}")
@@ -926,23 +640,7 @@ def _command_run_lm(args) -> int:
         print(f"val perplexity:       {mean:.3f} ± {std:.3f}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_epochs": args.checkpoint_every_epochs,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
-    result = run_lm(
-        args.method,
-        args.corpus,
-        seed=args.seed,
-        keep_model=bool(args.out),
-        **lm_kwargs,
-        **checkpoint_kwargs,
-    )
+    result = run_lm(args.method, args.corpus, config=config, keep_model=bool(args.out), **kwargs)
     print(f"method:               {result.method}")
     print(f"corpus:               {result.corpus}")
     print(f"epochs:               {result.epochs}")
@@ -1023,25 +721,13 @@ def _command_export(args) -> int:
     from repro.experiments.runner import run_image_classification
     from repro.serve import export_model
 
-    checkpoint_kwargs = _checkpoint_kwargs(args)
     data = _dataset(args)
     result = run_image_classification(
         args.method,
         _model_factory(args, data.num_classes),
         data,
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
-        seed=args.seed,
+        config=_workload_config(args),
         keep_model=True,
-        **checkpoint_kwargs,
     )
     if result.masked is None:
         raise SystemExit(f"method {args.method!r} trains a dense model; nothing sparse to export")
@@ -1153,37 +839,16 @@ def _command_gnn(args) -> int:
 def _command_run_gan(args) -> int:
     from repro.experiments.gan import run_gan, run_gan_multi_seed
 
-    gan_kwargs = dict(
-        sparsity=args.sparsity,
-        total_steps=args.total_steps,
-        hidden=tuple(args.hidden),
-        latent_dim=args.latent_dim,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.ee_epsilon,
-        distribution=args.distribution,
-        balance_delta_t=args.balance_delta_t,
-        balance_max_shift=args.balance_max_shift,
-        n_eval_samples=args.n_eval_samples,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    config = _workload_config(args)
+    kwargs = _own_kwargs(args, "mixture")
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-gan` "
-                "(every seed would share one directory); use run_gan_sweep "
-                "for resumable multi-seed grids"
-            )
         mean, std, results = run_gan_multi_seed(
             args.method,
             args.mixture,
             seeds=tuple(args.seeds),
             n_proc=args.nproc,
-            **gan_kwargs,
+            config=config,
+            **kwargs,
         )
         print(f"method:               {args.method}")
         print(f"mixture:              {args.mixture}")
@@ -1196,21 +861,7 @@ def _command_run_gan(args) -> int:
         print(f"mode coverage:        {mean:.3f} ± {std:.3f}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
-    result = run_gan(
-        args.method,
-        args.mixture,
-        seed=args.seed,
-        **gan_kwargs,
-        **checkpoint_kwargs,
-    )
+    result = run_gan(args.method, args.mixture, config=config, **kwargs)
     print(f"method:               {result.method}")
     print(f"mixture:              {result.mixture}")
     print(f"steps:                {result.total_steps}")
@@ -1227,31 +878,30 @@ def _command_run_gan(args) -> int:
     return 0
 
 
-def _command_methods() -> int:
+def _command_methods(args) -> int:
     for name in ALL_METHODS:
         print(f"{name:16s} {method_family(name)}")
     return 0
 
 
+_COMMANDS = {
+    "run": _command_run,
+    "sweep": _command_sweep,
+    "run-rl": _command_run_rl,
+    "run-gan": _command_run_gan,
+    "run-lm": _command_run_lm,
+    "export": _command_export,
+    "serve": _command_serve,
+    "gnn": _command_gnn,
+    "methods": _command_methods,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "run-rl":
-        return _command_run_rl(args)
-    if args.command == "run-gan":
-        return _command_run_gan(args)
-    if args.command == "run-lm":
-        return _command_run_lm(args)
-    if args.command == "export":
-        return _command_export(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "gnn":
-        return _command_gnn(args)
-    return _command_methods()
+    if args.command in _SUBCOMMAND_KNOBS:
+        _check_run_flags(args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

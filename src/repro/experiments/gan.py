@@ -45,12 +45,7 @@ from repro.parallel import run_sharded
 from repro.sparse.budget import DensityBudget
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
-from repro.experiments.workload import (
-    UNSET,
-    WorkloadConfig,
-    resolve_knob,
-    warn_deprecated_alias,
-)
+from repro.experiments.workload import UNSET, WorkloadConfig, resolve_knob
 
 __all__ = [
     "MIXTURES",
@@ -517,7 +512,6 @@ def run_gan(
     drop_fraction: float = UNSET,
     c: float = UNSET,
     epsilon: float = UNSET,
-    ee_epsilon: float = UNSET,
     distribution: str = UNSET,
     balance_delta_t: int | None = None,
     balance_max_shift: float = 0.05,
@@ -543,31 +537,27 @@ def run_gan(
 
     The uniform workload knobs may also arrive through ``config=`` (see
     :class:`~repro.experiments.workload.WorkloadConfig`); explicit
-    keywords win over config fields.  ``ee_epsilon`` is a one-release
-    deprecated alias of ``epsilon``, the name the other entrypoints use.
+    keywords win over config fields.
     """
-    epsilon = warn_deprecated_alias("ee_epsilon", "epsilon", ee_epsilon, epsilon)
-    method = resolve_knob("method", method, config, None)
+    method = resolve_knob("method", method, config, "gan")
     if method is None:
         raise TypeError("run_gan: 'method' is required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    total_steps = resolve_knob("total_steps", total_steps, config, 2000)
-    seed = resolve_knob("seed", seed, config, 0)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    ee_epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
+    sparsity = resolve_knob("sparsity", sparsity, config, "gan")
+    total_steps = resolve_knob("total_steps", total_steps, config, "gan")
+    seed = resolve_knob("seed", seed, config, "gan")
+    batch_size = resolve_knob("batch_size", batch_size, config, "gan")
+    lr = resolve_knob("lr", lr, config, "gan")
+    delta_t = resolve_knob("delta_t", delta_t, config, "gan")
+    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, "gan")
+    c = resolve_knob("c", c, config, "gan")
+    epsilon = resolve_knob("epsilon", epsilon, config, "gan")
+    distribution = resolve_knob("distribution", distribution, config, "gan")
+    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, "gan")
     checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, 200
+        "checkpoint_every_steps", checkpoint_every_steps, config, "gan"
     )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
+    checkpoint_keep_last = resolve_knob("checkpoint_keep_last", checkpoint_keep_last, config, "gan")
+    resume_from = resolve_knob("resume_from", resume_from, config, "gan")
     if method not in GAN_METHODS:
         raise ValueError(f"method {method!r} is not GAN-capable; known: {GAN_METHODS}")
     if mixture not in MIXTURES:
@@ -590,7 +580,7 @@ def run_gan(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed + 2),
     )
     d_setup = build_method(
@@ -603,7 +593,7 @@ def run_gan(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed + 3),
     )
 

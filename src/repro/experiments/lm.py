@@ -168,35 +168,33 @@ def run_lm(
     uninterrupted run, including kills inside an epoch and at ΔT
     mask-update boundaries (serial and ``n_workers>=2``).
     """
-    method = resolve_knob("method", method, config, None)
+    method = resolve_knob("method", method, config, "lm")
     if method not in LM_METHODS:
         raise ValueError(f"method {method!r} is not LM-capable; known: {LM_METHODS}")
     if corpus not in CORPORA:
         raise ValueError(f"unknown corpus {corpus!r}; registered: {CORPORA}")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    epochs = resolve_knob("epochs", epochs, config, 3)
-    batch_size = resolve_knob("batch_size", batch_size, config, 32)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    block_size = resolve_knob("block_size", block_size, config, None)
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    seed = resolve_knob("seed", seed, config, 0)
-    n_workers = resolve_knob("n_workers", n_workers, config, 0)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
+    sparsity = resolve_knob("sparsity", sparsity, config, "lm")
+    epochs = resolve_knob("epochs", epochs, config, "lm")
+    batch_size = resolve_knob("batch_size", batch_size, config, "lm")
+    lr = resolve_knob("lr", lr, config, "lm")
+    delta_t = resolve_knob("delta_t", delta_t, config, "lm")
+    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, "lm")
+    c = resolve_knob("c", c, config, "lm")
+    epsilon = resolve_knob("epsilon", epsilon, config, "lm")
+    distribution = resolve_knob("distribution", distribution, config, "lm")
+    block_size = resolve_knob("block_size", block_size, config, "lm")
+    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, "lm")
+    seed = resolve_knob("seed", seed, config, "lm")
+    n_workers = resolve_knob("n_workers", n_workers, config, "lm")
+    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, "lm")
     checkpoint_every_epochs = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
+        "checkpoint_every_epochs", checkpoint_every_epochs, config, "lm"
     )
     checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
+        "checkpoint_every_steps", checkpoint_every_steps, config, "lm"
     )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
+    checkpoint_keep_last = resolve_knob("checkpoint_keep_last", checkpoint_keep_last, config, "lm")
+    resume_from = resolve_knob("resume_from", resume_from, config, "lm")
 
     start = time.time()
     if data is None:

@@ -37,12 +37,7 @@ from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import RLTrainer, rolling_returns
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
-from repro.experiments.workload import (
-    UNSET,
-    WorkloadConfig,
-    resolve_knob,
-    warn_deprecated_alias,
-)
+from repro.experiments.workload import UNSET, WorkloadConfig, resolve_knob
 
 __all__ = ["RLRunResult", "run_rl", "run_rl_multi_seed", "run_rl_sweep"]
 
@@ -110,14 +105,12 @@ def run_rl(
     drop_fraction: float = UNSET,
     c: float = UNSET,
     epsilon: float = UNSET,
-    ee_epsilon: float = UNSET,
     distribution: str = UNSET,
     sparse_backend: str | None = UNSET,
     solve_window: int = SOLVE_WINDOW,
     callbacks: Sequence[Callback] = (),
     checkpoint_dir=UNSET,
     checkpoint_every_epochs: int | None = UNSET,
-    checkpoint_every_episodes: int | None = UNSET,
     checkpoint_every_steps: int | None = UNSET,
     checkpoint_keep_last: int | None = UNSET,
     resume_from=UNSET,
@@ -137,43 +130,32 @@ def run_rl(
 
     The uniform workload knobs may also arrive through ``config=`` (see
     :class:`~repro.experiments.workload.WorkloadConfig`); explicit
-    keywords win over config fields.  ``ee_epsilon`` and
-    ``checkpoint_every_episodes`` are one-release deprecated aliases of
-    ``epsilon`` and ``checkpoint_every_epochs`` — the names every other
-    workload entrypoint uses (an RL "epoch" is one episode).
+    keywords win over config fields.  An RL "epoch" is one episode, so
+    ``checkpoint_every_epochs`` counts episodes.
     """
-    epsilon = warn_deprecated_alias("ee_epsilon", "epsilon", ee_epsilon, epsilon)
-    checkpoint_every_epochs = warn_deprecated_alias(
-        "checkpoint_every_episodes",
-        "checkpoint_every_epochs",
-        checkpoint_every_episodes,
-        checkpoint_every_epochs,
-    )
-    method = resolve_knob("method", method, config, None)
+    method = resolve_knob("method", method, config, "rl")
     if method is None:
         raise TypeError("run_rl: 'method' is required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    total_steps = resolve_knob("total_steps", total_steps, config, 5000)
-    seed = resolve_knob("seed", seed, config, 0)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    ee_epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
-    checkpoint_every_episodes = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
+    sparsity = resolve_knob("sparsity", sparsity, config, "rl")
+    total_steps = resolve_knob("total_steps", total_steps, config, "rl")
+    seed = resolve_knob("seed", seed, config, "rl")
+    batch_size = resolve_knob("batch_size", batch_size, config, "rl")
+    lr = resolve_knob("lr", lr, config, "rl")
+    delta_t = resolve_knob("delta_t", delta_t, config, "rl")
+    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, "rl")
+    c = resolve_knob("c", c, config, "rl")
+    epsilon = resolve_knob("epsilon", epsilon, config, "rl")
+    distribution = resolve_knob("distribution", distribution, config, "rl")
+    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, "rl")
+    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, "rl")
+    checkpoint_every_epochs = resolve_knob(
+        "checkpoint_every_epochs", checkpoint_every_epochs, config, "rl"
     )
     checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
+        "checkpoint_every_steps", checkpoint_every_steps, config, "rl"
     )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
+    checkpoint_keep_last = resolve_knob("checkpoint_keep_last", checkpoint_keep_last, config, "rl")
+    resume_from = resolve_knob("resume_from", resume_from, config, "rl")
     if method not in RL_METHODS:
         raise ValueError(f"method {method!r} is not RL-capable; known: {RL_METHODS}")
     start = time.time()
@@ -195,7 +177,7 @@ def run_rl(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed),
     )
 
@@ -223,7 +205,7 @@ def run_rl(
         all_callbacks.append(
             CheckpointCallback(
                 checkpoint_dir,
-                every_n_epochs=checkpoint_every_episodes,
+                every_n_epochs=checkpoint_every_epochs,
                 every_n_steps=checkpoint_every_steps,
                 keep_last=checkpoint_keep_last,
             )

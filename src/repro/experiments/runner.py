@@ -169,8 +169,9 @@ def run_image_classification(
     backend) may also arrive through ``config=``, a
     :class:`~repro.experiments.workload.WorkloadConfig` shared verbatim with
     ``run_rl`` / ``run_gan`` / ``run_lm``; an explicitly passed keyword
-    always wins over the config field, which wins over the defaults listed
-    here.  Workload-specific knobs (``momentum``, ``weight_decay``,
+    always wins over the config field, which wins over the ``"image"``
+    defaults of the knob table (``repro.experiments.workload.DEFAULTS``).
+    Workload-specific knobs (``momentum``, ``weight_decay``,
     ``eval_every``) remain plain keyword arguments.
 
     ``checkpoint_dir`` enables resume-exact checkpointing during training
@@ -181,35 +182,35 @@ def run_image_classification(
     masks and coverage counters are bitwise identical to an uninterrupted
     run of the same configuration.
     """
-    method = resolve_knob("method", method, config, None)
+    method = resolve_knob("method", method, config, "image")
     if method is None:
         raise TypeError("run_image_classification: 'method' is required")
     if model_factory is None or data is None:
         raise TypeError("run_image_classification: model_factory and data are required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    epochs = resolve_knob("epochs", epochs, config, 5)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 0.1)
-    delta_t = resolve_knob("delta_t", delta_t, config, 20)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    block_size = resolve_knob("block_size", block_size, config, None)
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    seed = resolve_knob("seed", seed, config, 0)
-    n_workers = resolve_knob("n_workers", n_workers, config, 0)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
+    sparsity = resolve_knob("sparsity", sparsity, config, "image")
+    epochs = resolve_knob("epochs", epochs, config, "image")
+    batch_size = resolve_knob("batch_size", batch_size, config, "image")
+    lr = resolve_knob("lr", lr, config, "image")
+    delta_t = resolve_knob("delta_t", delta_t, config, "image")
+    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, "image")
+    c = resolve_knob("c", c, config, "image")
+    epsilon = resolve_knob("epsilon", epsilon, config, "image")
+    distribution = resolve_knob("distribution", distribution, config, "image")
+    block_size = resolve_knob("block_size", block_size, config, "image")
+    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, "image")
+    seed = resolve_knob("seed", seed, config, "image")
+    n_workers = resolve_knob("n_workers", n_workers, config, "image")
+    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, "image")
     checkpoint_every_epochs = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
+        "checkpoint_every_epochs", checkpoint_every_epochs, config, "image"
     )
     checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
+        "checkpoint_every_steps", checkpoint_every_steps, config, "image"
     )
     checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
+        "checkpoint_keep_last", checkpoint_keep_last, config, "image"
     )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
+    resume_from = resolve_knob("resume_from", resume_from, config, "image")
     start = time.time()
     rng = np.random.default_rng(seed)
     model = model_factory(seed)

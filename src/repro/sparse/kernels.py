@@ -71,6 +71,7 @@ __all__ = [
     "MIN_SIZE_ENV",
     "DEFAULT_DENSITY_THRESHOLD",
     "DEFAULT_MIN_SIZE",
+    "MODES",
     "CsrMatmul",
     "BsrMatmul",
     "LinearKernel",
@@ -92,15 +93,16 @@ DEFAULT_DENSITY_THRESHOLD = 0.12
 # Below this weight size the per-call overhead dominates; stay dense.
 DEFAULT_MIN_SIZE = 16384
 
-_MODES = ("auto", "dense", "csr", "bsr")
+# Every training backend mode; the CLI's --sparse-backend choices come from here.
+MODES = ("auto", "csr", "bsr", "dense")
 
 
 def resolve_mode(mode: str | None = None) -> str:
     """Explicit argument > ``REPRO_SPARSE_BACKEND`` env var > ``auto``."""
     resolved = mode if mode is not None else os.environ.get(BACKEND_ENV, "auto")
     resolved = resolved.lower()
-    if resolved not in _MODES:
-        raise ValueError(f"unknown sparse backend {resolved!r}; choose from {_MODES}")
+    if resolved not in MODES:
+        raise ValueError(f"unknown sparse backend {resolved!r}; choose from {MODES}")
     return resolved
 
 

@@ -37,6 +37,23 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestRunLmSparseBackend:
+    def test_bsr_with_a_block_size_parses_and_trains(self, capsys):
+        args = build_parser().parse_args(["run-lm", "--sparse-backend", "bsr", "--block-size", "4"])
+        assert (args.sparse_backend, args.block_size) == ("bsr", 4)
+        exit_code = main([
+            "run-lm", "--sparse-backend", "bsr", "--block-size", "4",
+            "--n-chars", "2048", "--epochs", "1", "--batch-size", "16",
+            "--n-embd", "32", "--delta-t", "8",
+        ])
+        assert exit_code == 0
+        assert "val perplexity" in capsys.readouterr().out
+
+    def test_unknown_backend_exits_at_parse_time(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-lm", "--sparse-backend", "blocked"])
+
+
 class TestCommands:
     def test_methods_lists_all(self, capsys):
         assert main(["methods"]) == 0

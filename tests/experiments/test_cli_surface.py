@@ -32,7 +32,7 @@ import sys
 import pytest
 
 from repro.experiments import cli, gan, lm, rl, runner
-from repro.experiments.workload import UNSET
+from repro.experiments.workload import DEFAULTS, UNSET
 
 SNAPSHOT = pathlib.Path(__file__).with_name("cli_surface.json")
 
@@ -262,6 +262,10 @@ def pinned() -> dict:
 def test_parser_surface_matches_snapshot(pinned):
     # Round-trip through JSON so tuples and lists compare alike.
     assert json.loads(_dump(parser_surface())) == pinned["parsers"]
+
+
+def test_entrypoint_defaults_are_the_knob_table_defaults():
+    assert DEFAULTS == ENTRYPOINT_DEFAULTS
 
 
 def test_resolved_knobs_match_snapshot(pinned, monkeypatch, tmp_path):

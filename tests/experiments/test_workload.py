@@ -1,9 +1,7 @@
-"""The unified WorkloadConfig API: precedence, sentinels, deprecation shims.
+"""The unified WorkloadConfig API: precedence, sentinels, the knob table.
 
 Precedence contract (docs/controllers.md): explicit kwarg > config field >
-per-workload default.  Deprecated aliases (``ee_epsilon``,
-``checkpoint_every_episodes``) keep working for one release, always warn,
-and lose to the new spelling when both are passed.
+per-workload default from ``DEFAULTS``.
 """
 
 import pickle
@@ -12,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import UNSET, WorkloadConfig, resolve_knob, run_lm
+from repro.experiments.gan import run_gan
 from repro.experiments.rl import run_rl
-from repro.experiments.workload import _Unset, warn_deprecated_alias
+from repro.experiments.workload import DEFAULTS, _Unset
 
 TINY_RL = dict(
     total_steps=260,
@@ -48,21 +47,27 @@ class TestResolveKnob:
     CFG = WorkloadConfig(sparsity=0.5, seed=3)
 
     def test_explicit_beats_config(self):
-        assert resolve_knob("sparsity", 0.9, self.CFG, 0.1) == 0.9
+        assert resolve_knob("sparsity", 0.8, self.CFG, "rl") == 0.8
 
     def test_explicit_none_beats_config(self):
         # None is a meaningful value (e.g. checkpoint_every_epochs=None
         # disables epoch checkpoints), so it must not fall through.
-        assert resolve_knob("sparsity", None, self.CFG, 0.1) is None
+        assert resolve_knob("sparsity", None, self.CFG, "rl") is None
 
     def test_config_beats_default(self):
-        assert resolve_knob("sparsity", UNSET, self.CFG, 0.1) == 0.5
+        assert resolve_knob("sparsity", UNSET, self.CFG, "rl") == 0.5
 
     def test_unset_config_field_falls_to_default(self):
-        assert resolve_knob("delta_t", UNSET, self.CFG, 100) == 100
+        assert resolve_knob("delta_t", UNSET, self.CFG, "rl") == 100
+        assert resolve_knob("delta_t", UNSET, self.CFG, "image") == 20
 
     def test_no_config_falls_to_default(self):
-        assert resolve_knob("sparsity", UNSET, None, 0.1) == 0.1
+        assert resolve_knob("lr", UNSET, None, "image") == DEFAULTS["image"]["lr"] == 0.1
+
+    def test_knob_outside_the_workload_is_loud(self):
+        # run_gan resolves no sparse backend; asking for one is a bug.
+        with pytest.raises(KeyError):
+            resolve_knob("sparse_backend", UNSET, None, "gan")
 
 
 class TestWorkloadConfig:
@@ -73,25 +78,6 @@ class TestWorkloadConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             WorkloadConfig().method = "dense"
-
-
-class TestDeprecatedAlias:
-    def test_old_name_warns_and_is_used(self):
-        with pytest.warns(DeprecationWarning, match="'ee_epsilon' is deprecated"):
-            value = warn_deprecated_alias("ee_epsilon", "epsilon", 0.7, UNSET)
-        assert value == 0.7
-
-    def test_new_name_wins_when_both_passed(self):
-        with pytest.warns(DeprecationWarning):
-            value = warn_deprecated_alias("ee_epsilon", "epsilon", 0.7, 0.2)
-        assert value == 0.2
-
-    def test_silent_when_old_name_absent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert warn_deprecated_alias("old", "new", UNSET, 1.5) == 1.5
 
 
 class TestEntrypointIntegration:
@@ -109,23 +95,25 @@ class TestEntrypointIntegration:
         result = run_lm(config=cfg, sparsity=0.8, **TINY_LM)
         assert result.sparsity == 0.8
 
-    def test_run_rl_deprecated_aliases_warn_and_match_new_names(self):
-        new = run_rl("dst_ee", "cartpole", seed=0, epsilon=0.9, **TINY_RL)
-        with pytest.warns(DeprecationWarning, match="ee_epsilon"):
-            old = run_rl("dst_ee", "cartpole", seed=0, ee_epsilon=0.9, **TINY_RL)
-        assert old.final_avg_return == new.final_avg_return
-        assert old.train_steps == new.train_steps
+    def test_run_rl_epsilon_via_config_matches_explicit(self):
+        explicit = run_rl("dst_ee", "cartpole", seed=0, epsilon=0.5, **TINY_RL)
+        cfg = WorkloadConfig(method="dst_ee", seed=0, epsilon=0.5)
+        via_config = run_rl(config=cfg, **TINY_RL)
+        assert via_config.final_avg_return == explicit.final_avg_return
+        for name in explicit.masks:
+            np.testing.assert_array_equal(explicit.masks[name], via_config.masks[name])
 
-    def test_run_rl_checkpoint_alias_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_every_episodes"):
-            run_rl(
-                "dense",
-                "cartpole",
-                seed=0,
-                checkpoint_dir=tmp_path / "rl",
-                checkpoint_every_episodes=100,
-                **TINY_RL,
-            )
+    @pytest.mark.parametrize(
+        "entrypoint,alias",
+        [
+            (run_rl, "ee_epsilon"),
+            (run_rl, "checkpoint_every_episodes"),
+            (run_gan, "ee_epsilon"),
+        ],
+    )
+    def test_removed_aliases_raise_type_error(self, entrypoint, alias):
+        with pytest.raises(TypeError, match=alias):
+            entrypoint("dst_ee", **{alias: 1})
 
     def test_run_rl_via_config(self):
         cfg = WorkloadConfig(method="dense", seed=0)
