@@ -94,8 +94,8 @@ _WORKLOAD = {
 }
 _METHODS = {"image": ALL_METHODS, "rl": RL_METHODS, "gan": GAN_METHODS, "lm": LM_METHODS}
 _MODELS = ("vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp")
-# The image subcommands' own defaults: the `small` Scale, not the
-# entrypoint's (perfbench calls run_image_classification on those).
+# The image subcommands' own defaults: the `small` Scale.  The entrypoint
+# keeps its own (perfbench calls run_image_classification on them).
 _IMAGE_CLI_DEFAULTS = {"lr": 0.05, "delta_t": 6, "epochs": 4}
 
 

@@ -183,7 +183,7 @@ KNOBS = {
     "out": Knob("--out", "write the trained model as a serving artifact (.npz) here"),
 }
 
-_SCHEDULE = {
+_SHARED_DEFAULTS = {
     "method": None,
     "sparsity": 0.9,
     "distribution": "erk",
@@ -195,7 +195,7 @@ _SCHEDULE = {
     "lr": 1e-3,
     "seed": 0,
 }
-_CHECKPOINT = {
+_CHECKPOINT_DEFAULTS = {
     "checkpoint_dir": None,
     "checkpoint_every_steps": None,
     "checkpoint_keep_last": None,
@@ -204,8 +204,8 @@ _CHECKPOINT = {
 
 DEFAULTS = {
     "image": {
-        **_SCHEDULE,
-        **_CHECKPOINT,
+        **_SHARED_DEFAULTS,
+        **_CHECKPOINT_DEFAULTS,
         "lr": 0.1,
         "delta_t": 20,
         "epochs": 5,
@@ -215,16 +215,21 @@ DEFAULTS = {
         "checkpoint_every_epochs": 1,
     },
     "rl": {
-        **_SCHEDULE,
-        **_CHECKPOINT,
+        **_SHARED_DEFAULTS,
+        **_CHECKPOINT_DEFAULTS,
         "total_steps": 5000,
         "sparse_backend": None,
         "checkpoint_every_epochs": 1,
     },
-    "gan": {**_SCHEDULE, **_CHECKPOINT, "total_steps": 2000, "checkpoint_every_steps": 200},
+    "gan": {
+        **_SHARED_DEFAULTS,
+        **_CHECKPOINT_DEFAULTS,
+        "total_steps": 2000,
+        "checkpoint_every_steps": 200,
+    },
     "lm": {
-        **_SCHEDULE,
-        **_CHECKPOINT,
+        **_SHARED_DEFAULTS,
+        **_CHECKPOINT_DEFAULTS,
         "epochs": 3,
         "batch_size": 32,
         "block_size": None,

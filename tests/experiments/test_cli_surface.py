@@ -186,8 +186,6 @@ def _plain(value):
         return {str(key): _plain(item) for key, item in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
-    if isinstance(value, pathlib.PurePath):
-        return str(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"no snapshot form for {type(value).__name__}")
@@ -243,13 +241,6 @@ def resolved_invocations(monkeypatch, tmp_path) -> dict:
     return out
 
 
-def current_snapshot(monkeypatch, tmp_path) -> dict:
-    return {
-        "parsers": parser_surface(),
-        "resolved": resolved_invocations(monkeypatch, tmp_path),
-    }
-
-
 def _dump(snapshot: dict) -> str:
     return json.dumps(snapshot, indent=1, sort_keys=True) + "\n"
 
@@ -279,5 +270,6 @@ if __name__ == "__main__":
     import tempfile
 
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
-        SNAPSHOT.write_text(_dump(current_snapshot(patch, pathlib.Path(tmp))))
+        resolved = resolved_invocations(patch, pathlib.Path(tmp))
+        SNAPSHOT.write_text(_dump({"parsers": parser_surface(), "resolved": resolved}))
     print(f"wrote {SNAPSHOT}", file=sys.stderr)
