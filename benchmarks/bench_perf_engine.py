@@ -33,6 +33,7 @@ CI smoke also exercises the multiprocess sharding path).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -380,7 +381,7 @@ def conv_workspace_ab() -> dict:
 def time_multi_seed_sweep() -> dict:
     """Wall-clock of one multi-seed cell, serial vs ``n_proc`` sharding."""
     from repro.data.synthetic import cifar10_like
-    from repro.experiments.runner import run_multi_seed
+    from repro.experiments.runner import run_image_classification, run_multi_seed
 
     settings = _SWEEP_SETTINGS[get_scale().name]
     data = cifar10_like(
@@ -396,9 +397,8 @@ def time_multi_seed_sweep() -> dict:
 
     def timed_run(n_proc: int) -> tuple[float, float]:
         start = time.perf_counter()
-        mean, _, _ = run_multi_seed(
-            "dst_ee", factory, data, seeds=seeds, n_proc=n_proc, **kwargs
-        )
+        run = functools.partial(run_image_classification, "dst_ee", factory, data, **kwargs)
+        mean, _, _ = run_multi_seed(run, seeds, n_proc)
         return time.perf_counter() - start, mean
 
     serial_seconds, serial_mean = timed_run(1)

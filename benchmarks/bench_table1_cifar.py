@@ -13,10 +13,13 @@ Shape checks (not absolute numbers):
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.experiments import (
     format_table,
+    run_image_classification,
     run_multi_seed,
     table1_settings,
 )
@@ -28,10 +31,10 @@ def _run_cell(method, factory, data, sparsity, epochs=None):
     kwargs = SETTINGS.run_kwargs()
     if epochs is not None:
         kwargs["epochs"] = epochs
-    mean, std, _ = run_multi_seed(
-        method, factory, data, seeds=SETTINGS.scale.seeds,
-        sparsity=sparsity, **kwargs,
+    run = functools.partial(
+        run_image_classification, method, factory, data, sparsity=sparsity, **kwargs
     )
+    mean, std, _ = run_multi_seed(run, SETTINGS.scale.seeds)
     return mean, std
 
 

@@ -14,8 +14,14 @@ Shape checks:
 
 from __future__ import annotations
 
+import functools
 
-from repro.experiments import format_table, run_multi_seed, table2_settings
+from repro.experiments import (
+    format_table,
+    run_image_classification,
+    run_multi_seed,
+    table2_settings,
+)
 from repro.flops import profile_model
 
 SETTINGS = table2_settings()
@@ -30,9 +36,9 @@ def _build_table() -> tuple[str, dict]:
     cells: dict = {}
     kwargs = SETTINGS.run_kwargs()
 
-    dense_mean, dense_std, dense_results = None, None, None
-    dense_mean, dense_std, dense_results = run_multi_seed(
-        "dense", factory, data, seeds=SETTINGS.scale.seeds, **kwargs
+    dense_mean, dense_std, _ = run_multi_seed(
+        functools.partial(run_image_classification, "dense", factory, data, **kwargs),
+        SETTINGS.scale.seeds,
     )
     rows.append({
         "method": "dense",
@@ -47,10 +53,10 @@ def _build_table() -> tuple[str, dict]:
         for method in SETTINGS.methods:
             if method == "dense":
                 continue
-            mean, std, results = run_multi_seed(
-                method, factory, data, seeds=SETTINGS.scale.seeds,
-                sparsity=sparsity, **kwargs,
+            run = functools.partial(
+                run_image_classification, method, factory, data, sparsity=sparsity, **kwargs
             )
+            mean, std, results = run_multi_seed(run, SETTINGS.scale.seeds)
             sample = results[0]
             rows.append({
                 "method": method,

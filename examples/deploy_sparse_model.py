@@ -1,9 +1,9 @@
-"""Deploy a trained sparse model: checkpoint → CSR inference kernels.
+"""Deploy a trained sparse model: serving artifact → CSR inference kernels.
 
-Trains a 95%-sparse VGG-19 with DST-EE, saves a sparse checkpoint (weights
-+ masks + coverage counters), restores it into a fresh model, compiles the
-masked layers to scipy-CSR inference kernels, and verifies that accuracy is
-preserved while weight storage shrinks.
+Trains a 95%-sparse VGG-19 with DST-EE, exports it as a fingerprinted
+serving artifact (the masked layers compiled to CSR inference kernels),
+loads the artifact back into a freshly built model, and verifies that
+accuracy is preserved while weight storage shrinks.
 
 Usage::
 
@@ -18,13 +18,11 @@ import numpy as np
 from repro.data import DataLoader, cifar10_like
 from repro.models import vgg19
 from repro.optim import SGD, CosineAnnealingLR
+from repro.serve import export_model, load_model
 from repro.sparse import (
     DSTEEGrowth,
     DynamicSparseEngine,
     MaskedModel,
-    compile_sparse_model,
-    load_sparse_checkpoint,
-    save_sparse_checkpoint,
     sparse_storage_bytes,
 )
 from repro.sparse.analysis import layer_density_table
@@ -35,11 +33,10 @@ from repro.train import Trainer, evaluate_classifier
 def main() -> None:
     data = cifar10_like(n_train=1024, n_test=512, image_size=12, seed=0)
 
-    def factory(seed: int):
-        return vgg19(num_classes=10, width_mult=0.2, input_size=12, seed=seed)
+    model_kwargs = {"num_classes": 10, "width_mult": 0.2, "input_size": 12}
 
     # ------------------------------------------------------------- train
-    model = factory(0)
+    model = vgg19(seed=0, **model_kwargs)
     masked = MaskedModel(model, 0.95, rng=np.random.default_rng(0))
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)
     train_loader = DataLoader(data.train, batch_size=64, shuffle=True,
@@ -57,29 +54,27 @@ def main() -> None:
     print(f"trained DST-EE @ 95%: accuracy {dense_path_acc:.3f}, "
           f"exploration R {engine.coverage.exploration_rate():.3f}")
 
-    # ------------------------------------------------------ checkpoint
+    # ------------------------------------------- export, load, compare
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "dst_ee_vgg19.npz"
-        save_sparse_checkpoint(masked, path, coverage=engine.coverage)
-        print(f"checkpoint: {path.stat().st_size / 1024:.0f} KiB")
+        path = export_model(
+            masked,
+            pathlib.Path(tmp) / "dst_ee_vgg19.npz",
+            # Seed 99: a different init, fully overwritten by the load.
+            model_config={"builder": "vgg19", "kwargs": {**model_kwargs, "seed": 99}},
+        )
+        print(f"artifact: {path.stat().st_size / 1024:.0f} KiB")
 
-        fresh = factory(99)  # different init — fully overwritten by the load
-        restored, coverage = load_sparse_checkpoint(fresh, path)
-        restored_acc = evaluate_classifier(fresh, test_loader)
-        print(f"restored model accuracy:  {restored_acc:.3f} "
-              f"(coverage rounds: {coverage.rounds})")
-
-        # --------------------------------------------------- compile CSR
-        compiled = compile_sparse_model(restored)
-        compiled_acc = evaluate_classifier(compiled, test_loader)
-        csr_bytes, dense_bytes = sparse_storage_bytes(compiled)
-        print(f"compiled (CSR) accuracy:  {compiled_acc:.3f}")
+        loaded = load_model(path)
+        compiled_acc = evaluate_classifier(loaded.model, test_loader)
+        csr_bytes, dense_bytes = sparse_storage_bytes(loaded.model)
+        print(f"loaded (CSR) accuracy:    {compiled_acc:.3f} "
+              f"(fingerprint {loaded.fingerprint[:19]}...)")
         print(f"weight storage: {csr_bytes / 1024:.0f} KiB CSR vs "
               f"{dense_bytes / 1024:.0f} KiB dense "
               f"({csr_bytes / dense_bytes:.2f}x)")
 
     print("\nPer-layer final densities (ERK keeps narrow layers denser):")
-    for row in layer_density_table(restored)[:6]:
+    for row in layer_density_table(masked)[:6]:
         print(f"  {row['layer']:24s} {row['shape']:>14s} density={row['density']}")
     print("  ...")
 

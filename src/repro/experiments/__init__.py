@@ -9,24 +9,18 @@ from repro.experiments.registry import (
     STATIC_METHODS,
     MethodSetup,
     build_method,
-    enumerate_lm_cells,
-    enumerate_rl_cells,
+    enumerate_cells,
     method_family,
 )
-from repro.experiments.runner import RunResult, run_image_classification, run_multi_seed
-from repro.experiments.rl import (
-    RLRunResult,
-    run_rl,
-    run_rl_multi_seed,
-    run_rl_sweep,
+from repro.experiments.runner import (
+    RunResult,
+    run_image_classification,
+    run_multi_seed,
+    run_sweep,
+    score_summary,
 )
-from repro.experiments.lm import (
-    LMRunResult,
-    evaluate_lm,
-    run_lm,
-    run_lm_multi_seed,
-    run_lm_sweep,
-)
+from repro.experiments.rl import RLRunResult, run_rl
+from repro.experiments.lm import LMRunResult, evaluate_lm, run_lm
 from repro.experiments.workload import UNSET, WorkloadConfig, resolve_knob
 from repro.experiments.gnn import (
     GNNResult,
@@ -63,18 +57,15 @@ __all__ = [
     "RunResult",
     "UNSET",
     "WorkloadConfig",
-    "enumerate_lm_cells",
-    "enumerate_rl_cells",
+    "enumerate_cells",
     "evaluate_lm",
     "resolve_knob",
     "run_image_classification",
     "run_lm",
-    "run_lm_multi_seed",
-    "run_lm_sweep",
     "run_multi_seed",
     "run_rl",
-    "run_rl_multi_seed",
-    "run_rl_sweep",
+    "run_sweep",
+    "score_summary",
     "GNNResult",
     "evaluate_link_prediction",
     "train_link_predictor",

@@ -50,14 +50,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 
-from repro.experiments.registry import (
-    ALL_METHODS,
-    GAN_METHODS,
-    LM_METHODS,
-    RL_METHODS,
-    method_family,
-)
+from repro.experiments.registry import ALL_METHODS, WORKLOADS, method_family
 from repro.experiments.workload import DEFAULTS, KNOBS, WorkloadConfig
 
 __all__ = ["build_parser", "main"]
@@ -92,7 +87,6 @@ _WORKLOAD = {
     "run-gan": "gan",
     "run-lm": "lm",
 }
-_METHODS = {"image": ALL_METHODS, "rl": RL_METHODS, "gan": GAN_METHODS, "lm": LM_METHODS}
 _MODELS = ("vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp")
 # The image subcommands' own defaults: the `small` Scale.  The entrypoint
 # keeps its own (perfbench calls run_image_classification on them).
@@ -113,7 +107,7 @@ def _add_knobs(parser: argparse.ArgumentParser, command: str, required=(), **def
         if knob.action is not None:
             kwargs["action"] = knob.action
         else:
-            choices = _METHODS[workload] if name == "method" else knob.choices
+            choices = WORKLOADS[workload].methods if name == "method" else knob.choices
             kwargs.update(type=knob.type, nargs=knob.nargs, choices=choices)
         if name in required:
             kwargs["required"] = True
@@ -177,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_rl = sub.add_parser("run-rl", help="one DQN training run on a classic-control environment")
-    run_rl.add_argument("--env", default="cartpole", choices=["cartpole", "acrobot"])
+    run_rl.add_argument("--env", default="cartpole", choices=WORKLOADS["rl"].datasets)
     run_rl.add_argument(
         "--hidden",
         type=int,
@@ -215,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run-gan",
         help="one sparse-GAN run on a synthetic 2-D Gaussian mixture",
     )
-    run_gan.add_argument("--mixture", default="ring8", choices=["ring4", "ring8", "grid9"])
+    run_gan.add_argument("--mixture", default="ring8", choices=WORKLOADS["gan"].datasets)
     run_gan.add_argument(
         "--hidden",
         type=int,
@@ -243,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run-lm",
         help="one sparse char-GPT language-model run on the synthetic prose corpus",
     )
-    run_lm.add_argument("--corpus", default="markov-prose", choices=["markov-prose"])
+    run_lm.add_argument("--corpus", default="markov-prose", choices=WORKLOADS["lm"].datasets)
     run_lm.add_argument("--n-chars", type=int, default=65536, help="corpus size in characters")
     run_lm.add_argument("--block-len", type=int, default=32, help="context window length")
     run_lm.add_argument("--n-layer", type=int, default=2)
@@ -425,8 +419,8 @@ def _check_run_flags(args) -> None:
     if args.checkpoint_dir:
         raise SystemExit(
             f"--checkpoint-dir with --seeds is not supported by `{args.command}` "
-            "(every seed would share one directory); use `sweep` or run_rl_sweep / "
-            "run_gan_sweep / run_lm_sweep for resumable multi-seed grids"
+            "(every seed would share one directory); use `sweep` or "
+            "repro.experiments.run_sweep for resumable multi-seed grids"
         )
     if getattr(args, "out", None):
         raise SystemExit("--out exports a single run; drop --seeds")
@@ -435,18 +429,12 @@ def _check_run_flags(args) -> None:
 def _command_run(args) -> int:
     from repro.experiments.runner import run_image_classification, run_multi_seed
 
-    config = _workload_config(args)
     data = _dataset(args)
     factory = _model_factory(args, data.num_classes)
+    config = _workload_config(args)
+    run = partial(run_image_classification, args.method, factory, data, config=config)
     if args.seeds is not None:
-        mean, std, results = run_multi_seed(
-            args.method,
-            factory,
-            data,
-            seeds=tuple(args.seeds),
-            n_proc=args.nproc,
-            config=config,
-        )
+        mean, std, results = run_multi_seed(run, args.seeds, args.nproc)
         print(f"method:               {args.method}")
         print(f"dataset:              {data.name}")
         print(f"seeds:                {list(args.seeds)}")
@@ -457,7 +445,7 @@ def _command_run(args) -> int:
             )
         print(f"accuracy:             {mean:.4f} ± {std:.4f}")
         return 0
-    result = run_image_classification(args.method, factory, data, config=config)
+    result = run()
     print(f"method:               {result.method}")
     print(f"dataset:              {result.dataset}")
     print(f"final accuracy:       {result.final_accuracy:.4f}")
@@ -474,7 +462,7 @@ def _command_run(args) -> int:
 
 def _command_sweep(args) -> int:
     from repro.experiments.registry import enumerate_cells
-    from repro.experiments.runner import run_sweep
+    from repro.experiments.runner import run_image_classification, run_sweep
     from repro.experiments.tables import format_float, format_table
 
     data = _dataset(args)
@@ -489,14 +477,18 @@ def _command_sweep(args) -> int:
     knobs = _knob_values(args)
     del knobs["seed"]  # seeds the dataset; every cell carries its own run seed
     builders = _model_builders(args, data.num_classes)
-    report = run_sweep(
-        cells,
-        {name: (lambda num_classes, b=builders[name]: b) for name in args.models},
-        {args.dataset: data},
-        n_proc=args.nproc,
-        resume=args.resume,
-        **knobs,
-    )
+
+    def run(cell, **kwargs):
+        return run_image_classification(
+            cell.method,
+            builders[cell.model],
+            data,
+            sparsity=cell.sparsity,
+            seed=cell.seed,
+            **kwargs,
+        )
+
+    report = run_sweep(cells, run, n_proc=args.nproc, resume=args.resume, **knobs)
     rows = [
         {
             "method": row["method"],
@@ -529,20 +521,14 @@ def _format_return(value: float | None) -> str:
 
 
 def _command_run_rl(args) -> int:
-    from repro.experiments.rl import run_rl, run_rl_multi_seed
+    from repro.experiments.rl import run_rl
+    from repro.experiments.runner import run_multi_seed
     from repro.rl.envs import ENV_REGISTRY
 
     config = _workload_config(args)
-    kwargs = _own_kwargs(args, "env")
+    run = partial(run_rl, args.method, args.env, config=config, **_own_kwargs(args, "env"))
     if args.seeds is not None:
-        mean, std, results = run_rl_multi_seed(
-            args.method,
-            args.env,
-            seeds=tuple(args.seeds),
-            n_proc=args.nproc,
-            config=config,
-            **kwargs,
-        )
+        mean, std, results = run_multi_seed(run, args.seeds, args.nproc)
         print(f"method:               {args.method}")
         print(f"environment:          {args.env}")
         print(f"seeds:                {list(args.seeds)}")
@@ -554,11 +540,11 @@ def _command_run_rl(args) -> int:
             final = _format_return(result.final_avg_return)
             best = _format_return(result.best_avg_return)
             print(f"  seed {seed}: final avg return {final} (best {best}, {solved})")
-        print(f"avg return:           {mean:.2f} ± {std:.2f}")
+        print(f"avg return:           {_format_return(mean)} ± {_format_return(std)}")
         print(f"solved seeds:         {sum(1 for r in results if r.solved)}" f"/{len(results)}")
         return 0
 
-    result = run_rl(args.method, args.env, config=config, keep_model=bool(args.out), **kwargs)
+    result = run(keep_model=bool(args.out))
     print(f"method:               {result.method}")
     print(f"environment:          {result.env}")
     print(f"episodes:             {result.episodes}")
@@ -616,19 +602,14 @@ def _command_run_rl(args) -> int:
 
 
 def _command_run_lm(args) -> int:
-    from repro.experiments.lm import run_lm, run_lm_multi_seed
+    from repro.experiments.lm import run_lm
+    from repro.experiments.runner import run_multi_seed, score_summary
 
     config = _workload_config(args)
-    kwargs = _own_kwargs(args, "corpus")
+    run = partial(run_lm, args.method, args.corpus, config=config, **_own_kwargs(args, "corpus"))
     if args.seeds is not None:
-        mean, std, results = run_lm_multi_seed(
-            args.method,
-            args.corpus,
-            seeds=tuple(args.seeds),
-            n_proc=args.nproc,
-            config=config,
-            **kwargs,
-        )
+        _, _, results = run_multi_seed(run, args.seeds, args.nproc)
+        mean, std = score_summary(result.val_perplexity for result in results)
         print(f"method:               {args.method}")
         print(f"corpus:               {args.corpus}")
         print(f"seeds:                {list(args.seeds)}")
@@ -640,7 +621,7 @@ def _command_run_lm(args) -> int:
         print(f"val perplexity:       {mean:.3f} ± {std:.3f}")
         return 0
 
-    result = run_lm(args.method, args.corpus, config=config, keep_model=bool(args.out), **kwargs)
+    result = run(keep_model=bool(args.out))
     print(f"method:               {result.method}")
     print(f"corpus:               {result.corpus}")
     print(f"epochs:               {result.epochs}")
@@ -837,19 +818,13 @@ def _command_gnn(args) -> int:
 
 
 def _command_run_gan(args) -> int:
-    from repro.experiments.gan import run_gan, run_gan_multi_seed
+    from repro.experiments.gan import run_gan
+    from repro.experiments.runner import run_multi_seed
 
     config = _workload_config(args)
-    kwargs = _own_kwargs(args, "mixture")
+    run = partial(run_gan, args.method, args.mixture, config=config, **_own_kwargs(args, "mixture"))
     if args.seeds is not None:
-        mean, std, results = run_gan_multi_seed(
-            args.method,
-            args.mixture,
-            seeds=tuple(args.seeds),
-            n_proc=args.nproc,
-            config=config,
-            **kwargs,
-        )
+        mean, std, results = run_multi_seed(run, args.seeds, args.nproc)
         print(f"method:               {args.method}")
         print(f"mixture:              {args.mixture}")
         print(f"seeds:                {list(args.seeds)}")
@@ -861,7 +836,7 @@ def _command_run_gan(args) -> int:
         print(f"mode coverage:        {mean:.3f} ± {std:.3f}")
         return 0
 
-    result = run_gan(args.method, args.mixture, config=config, **kwargs)
+    result = run()
     print(f"method:               {result.method}")
     print(f"mixture:              {result.mixture}")
     print(f"steps:                {result.total_steps}")

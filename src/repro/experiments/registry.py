@@ -49,9 +49,6 @@ __all__ = [
     "SweepCell",
     "build_method",
     "enumerate_cells",
-    "enumerate_rl_cells",
-    "enumerate_gan_cells",
-    "enumerate_lm_cells",
     "DYNAMIC_METHODS",
     "STATIC_METHODS",
     "DENSE_TO_SPARSE_METHODS",
@@ -59,6 +56,8 @@ __all__ = [
     "RL_METHODS",
     "GAN_METHODS",
     "LM_METHODS",
+    "WORKLOADS",
+    "Workload",
     "method_family",
 ]
 
@@ -125,7 +124,9 @@ class SweepCell:
 
     This is the granularity at which the parallel execution engine shards
     work (see :func:`repro.experiments.runner.run_sweep`): cells never
-    share state, so any subset can run in any process in any order.
+    share state, so any subset can run in any process in any order.  The
+    ``model`` and ``dataset`` slots hold the names of the cell's
+    :data:`WORKLOADS` row (``"dqn"`` and the environment for RL cells).
     """
 
     method: str
@@ -135,6 +136,32 @@ class SweepCell:
     seed: int
 
 
+@dataclass(frozen=True)
+class Workload:
+    """The names one workload's sweep cells may carry.
+
+    ``models`` and ``datasets`` are ``None`` where any name goes (image
+    sweeps bring their own model factories and datasets); otherwise they
+    list the names the workload's entrypoint accepts in that cell slot.
+    """
+
+    methods: tuple[str, ...]
+    models: tuple[str, ...] | None = None
+    datasets: tuple[str, ...] | None = None
+    dataset_kind: str = "dataset"
+
+
+# One row per workload: the method lists the CLI offers and the names
+# :func:`enumerate_cells` accepts.  RL cells carry the environment, GAN
+# cells the mixture and LM cells the corpus in the ``dataset`` slot.
+WORKLOADS = {
+    "image": Workload(ALL_METHODS),
+    "rl": Workload(RL_METHODS, ("dqn",), ("cartpole", "acrobot"), "environment"),
+    "gan": Workload(GAN_METHODS, ("gan",), ("ring4", "ring8", "grid9"), "mixture"),
+    "lm": Workload(LM_METHODS, ("char_gpt",), ("markov-prose",), "corpus"),
+}
+
+
 def enumerate_cells(
     methods: Sequence[str],
     models: Sequence[str],
@@ -142,20 +169,33 @@ def enumerate_cells(
     sparsities: Sequence[float],
     seeds: Sequence[int] = (0, 1, 2),
     root_seed: int | None = None,
+    *,
+    workload: str = "image",
 ) -> list[SweepCell]:
     """Deterministic cell list for a (method × model × dataset × sparsity × seed) grid.
 
-    Methods are validated up front (one bad name fails fast instead of as
-    ``len(grid)`` broken cells).  With ``root_seed`` set, the explicit
-    ``seeds`` are replaced by per-cell seeds derived via
-    ``SeedSequence.spawn`` (:func:`repro.parallel.derive_seeds`): cell ``i``
-    always gets the same seed regardless of worker count or sweep order,
-    and no two cells share a stream.  With the default ``root_seed=None``
-    every cell group reuses the explicit seed list — the paper's
-    "(mean ± std) over seeds {0, 1, 2}" protocol.
+    Names are checked up front against the ``workload`` row of
+    :data:`WORKLOADS` (one bad name fails fast instead of as ``len(grid)``
+    broken cells).  With ``root_seed`` set, the explicit ``seeds`` are
+    replaced by per-cell seeds derived via ``SeedSequence.spawn``
+    (:func:`repro.parallel.derive_seeds`): cell ``i`` always gets the same
+    seed regardless of worker count or sweep order, and no two cells share
+    a stream.  With the default ``root_seed=None`` every cell group reuses
+    the explicit seed list — the paper's "(mean ± std) over seeds
+    {0, 1, 2}" protocol.
     """
-    for name in methods:
-        method_family(name)  # raises on unknown methods
+    row = WORKLOADS[workload]
+    for kind, names, known in (
+        ("method", methods, row.methods),
+        ("model", models, row.models),
+        (row.dataset_kind, datasets, row.datasets),
+    ):
+        for name in names:
+            if known is not None and name not in known:
+                raise ValueError(
+                    f"unknown {kind} {name!r} for the {workload} workload; "
+                    f"known: {', '.join(known)}"
+                )
     grid = [
         (method, model, dataset, sparsity, seed)
         for method in methods
@@ -168,127 +208,7 @@ def enumerate_cells(
         from repro.parallel import derive_seeds
 
         derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, dataset, sparsity, derived[index])
-            for index, (method, model, dataset, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_rl_cells(
-    methods: Sequence[str],
-    envs: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for an RL (method × env × sparsity × seed) grid.
-
-    RL cells reuse :class:`SweepCell` with ``model="dqn"`` and the
-    environment name in the ``dataset`` slot, so the sweep runner,
-    checkpoint records, and report aggregation all work unchanged (see
-    :func:`repro.experiments.rl.run_rl_sweep`).  Seeding semantics match
-    :func:`enumerate_cells`: ``root_seed`` derives one independent seed per
-    cell via ``SeedSequence.spawn``.
-    """
-    from repro.rl.envs import ENV_REGISTRY
-
-    for name in methods:
-        if name not in RL_METHODS:
-            raise ValueError(f"method {name!r} is not RL-capable; known: {RL_METHODS}")
-    for env_name in envs:
-        if env_name not in ENV_REGISTRY:
-            known = ", ".join(sorted(ENV_REGISTRY))
-            raise ValueError(f"unknown environment {env_name!r}; registered: {known}")
-    grid = [
-        (method, "dqn", env_name, sparsity, seed)
-        for method in methods
-        for env_name in envs
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, env_name, sparsity, derived[index])
-            for index, (method, model, env_name, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_gan_cells(
-    methods: Sequence[str],
-    mixtures: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for a GAN (method × mixture × sparsity × seed) grid.
-
-    GAN cells reuse :class:`SweepCell` with ``model="gan"`` and the mixture
-    name in the ``dataset`` slot, mirroring :func:`enumerate_rl_cells`, so
-    the sweep runner, checkpoint records, and report aggregation work
-    unchanged (see :func:`repro.experiments.gan.run_gan_sweep`).
-    """
-    from repro.experiments.gan import MIXTURES
-
-    for name in methods:
-        if name not in GAN_METHODS:
-            raise ValueError(f"method {name!r} is not GAN-capable; known: {GAN_METHODS}")
-    for mixture in mixtures:
-        if mixture not in MIXTURES:
-            known = ", ".join(sorted(MIXTURES))
-            raise ValueError(f"unknown mixture {mixture!r}; registered: {known}")
-    grid = [
-        (method, "gan", mixture, sparsity, seed)
-        for method in methods
-        for mixture in mixtures
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, mixture, sparsity, derived[index])
-            for index, (method, model, mixture, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_lm_cells(
-    methods: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for an LM (method × sparsity × seed) grid.
-
-    LM cells reuse :class:`SweepCell` with ``model="char_gpt"`` and the
-    corpus name in the ``dataset`` slot, mirroring the RL/GAN grids, so
-    the sweep runner, checkpoint records, and report aggregation work
-    unchanged (see :func:`repro.experiments.lm.run_lm_sweep`).
-    """
-    for name in methods:
-        if name not in LM_METHODS:
-            raise ValueError(f"method {name!r} is not LM-capable; known: {LM_METHODS}")
-    grid = [
-        (method, "char_gpt", "markov-prose", sparsity, seed)
-        for method in methods
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, corpus, sparsity, derived[index])
-            for index, (method, model, corpus, sparsity, _) in enumerate(grid)
-        ]
+        grid = [(*entry[:4], derived[index]) for index, entry in enumerate(grid)]
     return [SweepCell(*entry) for entry in grid]
 
 

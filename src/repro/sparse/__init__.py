@@ -55,7 +55,6 @@ from repro.sparse.static import global_topk_masks, grasp_masks, snip_masks, synf
 from repro.sparse.gmp import GMPController, cubic_sparsity
 from repro.sparse.str_prune import STRController
 from repro.sparse.admm import ADMMPruner, project_topk
-from repro.sparse.io import load_sparse_checkpoint, save_sparse_checkpoint
 from repro.sparse.gap import GaPController
 from repro.sparse.inference import (
     SparseConv2d,
@@ -117,8 +116,6 @@ __all__ = [
     "STRController",
     "ADMMPruner",
     "project_topk",
-    "save_sparse_checkpoint",
-    "load_sparse_checkpoint",
     "GaPController",
     "SparseLinear",
     "SparseConv2d",

@@ -15,8 +15,6 @@ fraction of pruned weights by gradient magnitude — GraNet's
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.sparse.budget import DensityBudget
@@ -52,10 +50,6 @@ class GMPController(SparsityController):
     cubic schedule prunes down to (per-layer split nominal: GMP prunes by
     global magnitude).
 
-    The pre-budget form ``GMPController(masked, final_sparsity,
-    total_steps, ...)`` still works for one release and emits a
-    :class:`DeprecationWarning`.
-
     Parameters
     ----------
     masked:
@@ -74,52 +68,13 @@ class GMPController(SparsityController):
     def __init__(
         self,
         masked: MaskedModel,
-        schedule: TrainingSchedule | float | None = None,
-        budget: DensityBudget | int | None = None,
-        t_start_fraction: float | None = None,
-        t_end_fraction: float | None = None,
-        delta_t: int | None = None,
+        schedule: TrainingSchedule,
+        budget: DensityBudget,
+        *,
         regrow_fraction: float = 0.0,
         rng: np.random.Generator | None = None,
-        *,
-        final_sparsity: float | None = None,
-        total_steps: int | None = None,
     ):
-        if isinstance(schedule, (int, float)) or final_sparsity is not None:
-            # Legacy form: (masked, final_sparsity, total_steps, ...).
-            warnings.warn(
-                "GMPController(masked, final_sparsity, total_steps, ...) is "
-                "deprecated; pass a TrainingSchedule and a final DensityBudget "
-                "(see docs/controllers.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if final_sparsity is None:
-                final_sparsity = float(schedule)
-            if total_steps is None:
-                if budget is None:
-                    raise TypeError("the legacy GMPController form needs total_steps")
-                total_steps = int(budget)
-            schedule = TrainingSchedule(
-                total_steps=int(total_steps),
-                delta_t=100 if delta_t is None else int(delta_t),
-                t_start_fraction=(
-                    0.1 if t_start_fraction is None else float(t_start_fraction)
-                ),
-                t_end_fraction=0.7 if t_end_fraction is None else float(t_end_fraction),
-            )
-            budget = None
-        else:
-            if schedule is None:
-                raise TypeError(
-                    "pass schedule=TrainingSchedule(...) and a final DensityBudget "
-                    "(or the legacy final_sparsity/total_steps form)"
-                )
-            if budget is None:
-                raise TypeError("the unified GMPController form needs a final budget")
-            if t_start_fraction is not None or t_end_fraction is not None or delta_t is not None:
-                raise TypeError("timing knobs live on the TrainingSchedule")
-            final_sparsity = 1.0 - budget.total / budget.capacity
+        final_sparsity = 1.0 - budget.total / budget.capacity
         if not 0.0 < final_sparsity < 1.0:
             raise ValueError(f"final_sparsity must be in (0, 1), got {final_sparsity}")
         self.masked = masked

@@ -28,7 +28,6 @@ input channels) fall back to ``block_size=1``, i.e. unstructured.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -614,35 +613,16 @@ class MaskedModel:
         """Copy of all masks keyed by parameter name."""
         return {t.name: t.mask.copy() for t in self.targets}
 
-    def set_masks(
-        self,
-        masks: dict[str, np.ndarray],
-        sync_budget: bool | None = None,
-    ) -> None:
+    def set_masks(self, masks: dict[str, np.ndarray], *, sync_budget: bool) -> None:
         """Replace masks (e.g. from a static pruner) and re-apply them.
 
         ``sync_budget`` controls whether the budget (and with it each
         layer's ``target_density``) is refreshed from the new masks:
 
-        * ``True`` — refresh through :meth:`DensityBudget.refresh_from_masks`
-          (the explicit, recommended form);
+        * ``True`` — refresh through :meth:`DensityBudget.refresh_from_masks`;
         * ``False`` — masks are replaced, the budget is left untouched (the
-          engine will treat the difference as a rebalancing delta);
-        * ``None`` (legacy default) — refreshes like ``True`` but emits a
-          :class:`DeprecationWarning`: the silent refresh predates the
-          :class:`~repro.sparse.budget.DensityBudget` API and will default
-          to ``False`` in a future release.
+          engine will treat the difference as a rebalancing delta).
         """
-        if sync_budget is None:
-            warnings.warn(
-                "MaskedModel.set_masks currently refreshes target_density "
-                "implicitly; pass sync_budget=True for this behaviour (or "
-                "False to leave the DensityBudget untouched) — the implicit "
-                "refresh is deprecated",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sync_budget = True
         by_name = {t.name: t for t in self.targets}
         for name, mask in masks.items():
             if name not in by_name:

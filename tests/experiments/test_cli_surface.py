@@ -11,7 +11,10 @@ Two pinned records live in ``cli_surface.json`` beside this file:
   entrypoints are replaced by recorders that merge, in the entrypoints'
   own precedence, explicit keywords over ``config=`` fields over the
   entrypoint defaults pinned in :data:`ENTRYPOINT_DEFAULTS`, and then
-  stop the command before any training runs.
+  stop the command before any training runs.  ``run_multi_seed`` is
+  recorded as the entrypoint call its ``run`` partial configures plus
+  the seed fan-out; ``run_sweep`` as its arguments plus the model and
+  dataset each cell's ``run`` hands ``run_image_classification``.
 
 A parser refactor must leave both records unchanged unless the surface
 change is intended; regenerate the file with
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -101,14 +105,9 @@ ENTRYPOINT_DEFAULTS = {
 # (module, entrypoint name, workload whose defaults fill unset knobs)
 ENTRYPOINTS = (
     (runner, "run_image_classification", "image"),
-    (runner, "run_multi_seed", "image"),
-    (runner, "run_sweep", "image"),
     (rl, "run_rl", "rl"),
-    (rl, "run_rl_multi_seed", "rl"),
     (gan, "run_gan", "gan"),
-    (gan, "run_gan_multi_seed", "gan"),
     (lm, "run_lm", "lm"),
-    (lm, "run_lm_multi_seed", "lm"),
 )
 
 # Default invocations of every training command, plus the multi-seed and
@@ -199,39 +198,83 @@ def _model_record(factory) -> dict:
     }
 
 
+def _arguments(signature: inspect.Signature, args, kwargs, defaults: bool) -> dict:
+    """The call's arguments by name, ``**kwargs`` flattened."""
+    bound = signature.bind(*args, **kwargs)
+    if defaults:
+        bound.apply_defaults()
+    values = {}
+    for name, value in bound.arguments.items():
+        if signature.parameters[name].kind is inspect.Parameter.VAR_KEYWORD:
+            values.update(value)
+        else:
+            values[name] = value
+    return values
+
+
+def _resolve(values: dict, workload: str) -> dict:
+    """Explicit keywords over ``config=`` fields over the entrypoint defaults."""
+    config = values.pop("config", None)
+    resolved = dict(ENTRYPOINT_DEFAULTS[workload])
+    if config is not None:
+        resolved.update(config.kwargs())
+    resolved.update({k: v for k, v in values.items() if v is not UNSET})
+    if "model_factory" in resolved:
+        resolved["model_factory"] = _model_record(resolved["model_factory"])
+    return resolved
+
+
 def _recorder(fn, workload: str):
     signature = inspect.signature(fn)
 
     def record(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        values = {}
-        for name, value in bound.arguments.items():
-            kind = signature.parameters[name].kind
-            if kind is inspect.Parameter.VAR_KEYWORD:
-                values.update(value)
-            else:
-                values[name] = value
-        config = values.pop("config", None)
-        resolved = dict(ENTRYPOINT_DEFAULTS[workload])
-        if config is not None:
-            resolved.update(config.kwargs())
-        resolved.update({k: v for k, v in values.items() if v is not UNSET})
-        if "model_factory" in resolved:
-            resolved["model_factory"] = _model_record(resolved["model_factory"])
-        if "model_factories" in resolved:
-            resolved["model_factories"] = {
-                name: _model_record(make(10))
-                for name, make in resolved["model_factories"].items()
-            }
-        raise _Captured({"entrypoint": fn.__name__, "knobs": _plain(resolved)})
+        values = _arguments(signature, args, kwargs, defaults=True)
+        raise _Captured({"entrypoint": fn.__name__, "knobs": _plain(_resolve(values, workload))})
 
+    record.entrypoint, record.workload = fn, workload
     return record
+
+
+def _record_multi_seed(run, seeds=(0, 1, 2), n_proc=None):
+    # ``run`` is a partial of a recorded entrypoint: record the call it
+    # configures, whose defaults the entrypoint applies itself.
+    assert isinstance(run, functools.partial), run
+    entrypoint = run.func.entrypoint
+    values = _arguments(inspect.signature(entrypoint), run.args, run.keywords, defaults=False)
+    resolved = _resolve(values, run.func.workload)
+    resolved.update(seeds=list(seeds), n_proc=n_proc)
+    raise _Captured(
+        {"entrypoint": f"run_multi_seed({entrypoint.__name__})", "knobs": _plain(resolved)}
+    )
+
+
+def _record_sweep(cells, run, n_proc=None, checkpoint_dir=None, resume=False, **run_kwargs):
+    # The model factories and datasets live inside ``run``: collect the
+    # ones it hands the (recorded) image entrypoint for each cell.
+    models, datasets = {}, {}
+    for cell in cells:
+        with pytest.raises(_Captured) as captured:
+            run(cell, checkpoint_dir=checkpoint_dir, resume_from=None, **run_kwargs)
+        knobs = captured.value.values["knobs"]
+        models[cell.model] = knobs["model_factory"]
+        datasets[cell.dataset] = knobs["data"]
+    resolved = _resolve(dict(run_kwargs), "image")
+    resolved.update(
+        cells=cells,
+        n_proc=n_proc,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        model_factories=models,
+        datasets=datasets,
+    )
+    raise _Captured({"entrypoint": "run_sweep", "knobs": _plain(resolved)})
 
 
 def resolved_invocations(monkeypatch, tmp_path) -> dict:
     for module, name, workload in ENTRYPOINTS:
         monkeypatch.setattr(module, name, _recorder(getattr(module, name), workload))
+    monkeypatch.setattr(runner, "run_multi_seed", _record_multi_seed)
+    monkeypatch.setattr(runner, "run_sweep", _record_sweep)
     monkeypatch.chdir(tmp_path)
     out = {}
     for line in INVOCATIONS:

@@ -1,9 +1,8 @@
 """Sparse-GAN stressor: balancer conservation, resume exactness, sweeps.
 
-The acceptance bar (ISSUE 9): the GAN workload trains through
-``run_cell_grid``, its ΔT density transfers between generator and
-discriminator are visible in history, the combined G+D budget is exactly
-conserved, and kill-and-resume is bitwise identical.
+The GAN workload trains through ``run_sweep``, its ΔT density transfers
+between generator and discriminator are visible in history, the combined
+G+D budget is exactly conserved, and kill-and-resume is bitwise identical.
 """
 
 import numpy as np
@@ -14,9 +13,9 @@ from repro.experiments.gan import (
     GanDensityBalancer,
     GANTrainer,
     run_gan,
-    run_gan_sweep,
 )
-from repro.experiments.registry import GAN_METHODS, build_method, enumerate_gan_cells
+from repro.experiments.registry import GAN_METHODS, build_method, enumerate_cells
+from repro.experiments.runner import run_sweep
 from repro.models import MLP
 from repro.optim import Adam
 from repro.train.checkpoint import list_checkpoints
@@ -207,23 +206,33 @@ class TestGanResumeBitwise:
         assert resumed_tail == full_tail
 
 
+def gan_cells(methods, mixtures, sparsities, **kwargs):
+    return enumerate_cells(methods, ("gan",), mixtures, sparsities, workload="gan", **kwargs)
+
+
 class TestGanSweep:
     def test_enumerate_validates(self):
         with pytest.raises(ValueError):
-            enumerate_gan_cells(("gmp",), ("ring4",), (0.8,), seeds=(0,))
+            gan_cells(("gmp",), ("ring4",), (0.8,), seeds=(0,))
         with pytest.raises(ValueError, match="unknown mixture"):
-            enumerate_gan_cells(("set",), ("nope",), (0.8,), seeds=(0,))
-        cells = enumerate_gan_cells(
+            gan_cells(("set",), ("nope",), (0.8,), seeds=(0,))
+        cells = gan_cells(
             ("set", "dense"), ("ring4",), (0.8,), seeds=(0, 1)
         )
         assert len(cells) == 4
         assert {cell.model for cell in cells} == {"gan"}
         assert all(cell.method in GAN_METHODS for cell in cells)
 
-    def test_sweep_through_run_cell_grid(self, tmp_path):
-        cells = enumerate_gan_cells(("set",), ("ring4",), (0.8,), seeds=(0,))
-        report = run_gan_sweep(
+    def test_sweep_through_run_sweep(self, tmp_path):
+        def run(cell, **kwargs):
+            return run_gan(
+                cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs
+            )
+
+        cells = gan_cells(("set",), ("ring4",), (0.8,), seeds=(0,))
+        report = run_sweep(
             cells,
+            run,
             n_proc=1,
             checkpoint_dir=tmp_path,
             total_steps=60,

@@ -1,11 +1,14 @@
 """RL experiment layer: run_rl cells, parallel seeds, sweeps, and the CLI."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.registry import RL_METHODS, enumerate_rl_cells
-from repro.experiments.rl import run_rl, run_rl_multi_seed, run_rl_sweep
+from repro.experiments.registry import RL_METHODS, enumerate_cells
+from repro.experiments.rl import run_rl
+from repro.experiments.runner import run_multi_seed, run_sweep
 from repro.parallel import fork_available
 
 TINY = dict(
@@ -17,6 +20,15 @@ TINY = dict(
     delta_t=10,
     target_sync_every=25,
 )
+TINY_SWEEP = {k: v for k, v in TINY.items() if k != "sparsity"}
+
+
+def rl_cells(methods, envs, sparsities, **kwargs):
+    return enumerate_cells(methods, ["dqn"], envs, sparsities, workload="rl", **kwargs)
+
+
+def run_rl_cell(cell, **kwargs):
+    return run_rl(cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs)
 
 
 def signature(result):
@@ -76,9 +88,8 @@ class TestRunRL:
 
 class TestMultiSeed:
     def test_serial_matches_run_rl(self):
-        mean, std, results = run_rl_multi_seed(
-            "dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY
-        )
+        run = functools.partial(run_rl, "dst_ee", "cartpole", **TINY)
+        mean, std, results = run_multi_seed(run, seeds=(0, 1), n_proc=1)
         direct = [run_rl("dst_ee", "cartpole", seed=s, **TINY) for s in (0, 1)]
         assert [signature(r) for r in results] == [signature(r) for r in direct]
         scores = [r.final_avg_return for r in direct]
@@ -87,8 +98,9 @@ class TestMultiSeed:
 
     @pytest.mark.skipif(not fork_available(), reason="requires fork")
     def test_sharded_seeds_equal_serial(self):
-        serial = run_rl_multi_seed("dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY)
-        sharded = run_rl_multi_seed("dst_ee", "cartpole", seeds=(0, 1), n_proc=2, **TINY)
+        run = functools.partial(run_rl, "dst_ee", "cartpole", **TINY)
+        serial = run_multi_seed(run, seeds=(0, 1), n_proc=1)
+        sharded = run_multi_seed(run, seeds=(0, 1), n_proc=2)
         assert serial[0] == sharded[0]
         assert serial[1] == sharded[1]
         for a, b in zip(serial[2], sharded[2]):
@@ -100,7 +112,7 @@ class TestMultiSeed:
 
 class TestEnumerateRLCells:
     def test_grid_shape_and_model_tag(self):
-        cells = enumerate_rl_cells(
+        cells = rl_cells(
             ["dense", "dst_ee"], ["cartpole"], [0.9, 0.95], seeds=(0, 1)
         )
         assert len(cells) == 2 * 1 * 2 * 2
@@ -108,22 +120,24 @@ class TestEnumerateRLCells:
         assert {cell.dataset for cell in cells} == {"cartpole"}
 
     def test_validates_methods_and_envs(self):
-        with pytest.raises(ValueError, match="not RL-capable"):
-            enumerate_rl_cells(["gmp"], ["cartpole"], [0.9])
-        with pytest.raises(ValueError, match="environment"):
-            enumerate_rl_cells(["dst_ee"], ["pong"], [0.9])
+        with pytest.raises(ValueError, match="unknown method 'gmp' for the rl workload"):
+            rl_cells(["gmp"], ["cartpole"], [0.9])
+        with pytest.raises(ValueError, match="unknown environment 'pong'"):
+            rl_cells(["dst_ee"], ["pong"], [0.9])
+        with pytest.raises(ValueError, match="unknown model 'mlp'"):
+            enumerate_cells(["dst_ee"], ["mlp"], ["cartpole"], [0.9], workload="rl")
 
     def test_root_seed_derives_stable_per_cell_seeds(self):
-        a = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(0, 1), root_seed=7)
-        b = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(5, 6), root_seed=7)
+        a = rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(0, 1), root_seed=7)
+        b = rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(5, 6), root_seed=7)
         assert [cell.seed for cell in a] == [cell.seed for cell in b]
         assert len({cell.seed for cell in a}) == len(a)
 
 
 class TestRLSweep:
     def test_sweep_aggregates_and_isolates_failures(self):
-        cells = enumerate_rl_cells(["dense", "dst_ee"], ["cartpole"], [0.8], seeds=(0,))
-        report = run_rl_sweep(cells, n_proc=1, **{k: v for k, v in TINY.items() if k != "sparsity"})
+        cells = rl_cells(["dense", "dst_ee"], ["cartpole"], [0.8], seeds=(0,))
+        report = run_sweep(cells, run_rl_cell, n_proc=1, **TINY_SWEEP)
         assert not report.failures
         rows = report.aggregate()
         assert len(rows) == 2
@@ -131,23 +145,28 @@ class TestRLSweep:
         assert {row["dataset"] for row in rows} == {"cartpole"}
 
     def test_sweep_resume_serves_cached_cells(self, tmp_path):
-        cells = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.8], seeds=(0,))
-        kwargs = {k: v for k, v in TINY.items() if k != "sparsity"}
-        first = run_rl_sweep(cells, n_proc=1, checkpoint_dir=tmp_path, **kwargs)
+        cells = rl_cells(["dst_ee"], ["cartpole"], [0.8], seeds=(0,))
+        first = run_sweep(cells, run_rl_cell, n_proc=1, checkpoint_dir=tmp_path, **TINY_SWEEP)
         assert not first.failures
-        second = run_rl_sweep(
-            cells, n_proc=1, checkpoint_dir=tmp_path, resume=True, **kwargs
+        second = run_sweep(
+            cells, run_rl_cell, n_proc=1, checkpoint_dir=tmp_path, resume=True, **TINY_SWEEP
         )
         assert all(outcome.cached for outcome in second.outcomes)
         assert signature(first.outcomes[0].result) == signature(second.outcomes[0].result)
 
     def test_sweep_rejects_bad_cells(self):
+        # enumerate_cells refuses these names up front; a hand-built cell
+        # fails inside its run and is reported, not trained.
         from repro.experiments.registry import SweepCell
 
-        with pytest.raises(KeyError, match="environment"):
-            run_rl_sweep([SweepCell("dst_ee", "dqn", "pong", 0.9, 0)])
-        with pytest.raises(ValueError, match="not RL-capable"):
-            run_rl_sweep([SweepCell("snip", "dqn", "cartpole", 0.9, 0)])
+        cells = [
+            SweepCell("dst_ee", "dqn", "pong", 0.9, 0),
+            SweepCell("snip", "dqn", "cartpole", 0.9, 0),
+        ]
+        report = run_sweep(cells, run_rl_cell, n_proc=1, **TINY_SWEEP)
+        assert [outcome.ok for outcome in report.outcomes] == [False, False]
+        assert "unknown environment 'pong'" in report.outcomes[0].error
+        assert "not RL-capable" in report.outcomes[1].error
 
 
 class TestCLI:

@@ -1,5 +1,7 @@
 """Cell runner: one run returns a complete table row."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -67,9 +69,10 @@ class TestRunResult:
 
 class TestMultiSeed:
     def test_mean_std_over_seeds(self, data):
-        mean, std, results = run_multi_seed(
-            "set", factory, data, seeds=(0, 1), sparsity=0.8, **KWARGS
+        run = functools.partial(
+            run_image_classification, "set", factory, data, sparsity=0.8, **KWARGS
         )
+        mean, std, results = run_multi_seed(run, seeds=(0, 1))
         assert len(results) == 2
         scores = [r.final_accuracy for r in results]
         assert mean == pytest.approx(np.mean(scores))

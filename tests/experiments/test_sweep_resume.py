@@ -43,14 +43,20 @@ class _KillAfterSteps(Callback):
 @pytest.fixture
 def sweep_inputs(tiny_data, tiny_mlp_factory):
     cells = enumerate_cells(METHODS, ["mlp"], ["tiny"], [0.8], seeds=[0])
-    factories = {"mlp": lambda num_classes: tiny_mlp_factory}
-    datasets = {"tiny": tiny_data}
-    return cells, factories, datasets
+
+    def run(cell, **kwargs):
+        # Looked up at call time, so the tests can patch the entrypoint.
+        return runner_module.run_image_classification(
+            cell.method, tiny_mlp_factory, tiny_data,
+            sparsity=cell.sparsity, seed=cell.seed, **kwargs,
+        )
+
+    return cells, run
 
 
-def _run(cells, factories, datasets, **kwargs):
+def _run(cells, run, **kwargs):
     return run_sweep(
-        cells, factories, datasets, n_proc=1,
+        cells, run, n_proc=1,
         epochs=EPOCHS, batch_size=32, delta_t=3,
         checkpoint_every_steps=1,
         **kwargs,
@@ -61,8 +67,8 @@ class TestSweepResume:
     def test_interrupted_sweep_resumes_to_identical_report(
         self, sweep_inputs, tmp_path, monkeypatch
     ):
-        cells, factories, datasets = sweep_inputs
-        reference = _run(cells, factories, datasets, checkpoint_dir=tmp_path / "ref")
+        cells, run = sweep_inputs
+        reference = _run(cells, run, checkpoint_dir=tmp_path / "ref")
 
         # --- pass 1: the second cell dies mid-training -------------------
         victim = cells[1]
@@ -80,7 +86,7 @@ class TestSweepResume:
             runner_module, "run_image_classification", sabotaged
         )
         killed_dir = tmp_path / "killed"
-        first = _run(cells, factories, datasets, checkpoint_dir=killed_dir)
+        first = _run(cells, run, checkpoint_dir=killed_dir)
         monkeypatch.undo()
 
         assert [o.ok for o in first.outcomes] == [True, False]
@@ -92,7 +98,7 @@ class TestSweepResume:
 
         # --- pass 2: resume ---------------------------------------------
         second = _run(
-            cells, factories, datasets, checkpoint_dir=killed_dir, resume=True
+            cells, run, checkpoint_dir=killed_dir, resume=True
         )
         assert [o.ok for o in second.outcomes] == [True, True]
         assert second.outcomes[0].cached is True  # served, not re-run
@@ -119,8 +125,8 @@ class TestSweepResume:
             )
 
     def test_cached_cells_do_not_rerun(self, sweep_inputs, tmp_path, monkeypatch):
-        cells, factories, datasets = sweep_inputs
-        _run(cells, factories, datasets, checkpoint_dir=tmp_path)
+        cells, run = sweep_inputs
+        _run(cells, run, checkpoint_dir=tmp_path)
 
         calls = []
         original = runner_module.run_image_classification
@@ -131,14 +137,14 @@ class TestSweepResume:
 
         monkeypatch.setattr(runner_module, "run_image_classification", counting)
         report = _run(
-            cells, factories, datasets, checkpoint_dir=tmp_path, resume=True
+            cells, run, checkpoint_dir=tmp_path, resume=True
         )
         assert calls == []  # everything served from records
         assert all(outcome.cached for outcome in report.outcomes)
 
     def test_manifest_written_and_updated(self, sweep_inputs, tmp_path):
-        cells, factories, datasets = sweep_inputs
-        _run(cells, factories, datasets, checkpoint_dir=tmp_path)
+        cells, run = sweep_inputs
+        _run(cells, run, checkpoint_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["cells"]) == {cell_key(cell) for cell in cells}
         assert all(
@@ -146,24 +152,24 @@ class TestSweepResume:
             for entry in manifest["cells"].values()
         )
         report = _run(
-            cells, factories, datasets, checkpoint_dir=tmp_path, resume=True
+            cells, run, checkpoint_dir=tmp_path, resume=True
         )
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert all(entry["cached"] for entry in manifest["cells"].values())
         assert all(outcome.cached for outcome in report.outcomes)
 
     def test_resume_requires_checkpoint_dir(self, sweep_inputs):
-        cells, factories, datasets = sweep_inputs
+        cells, run = sweep_inputs
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_sweep(cells, factories, datasets, resume=True)
+            run_sweep(cells, run, resume=True)
 
     def test_corrupt_cell_record_is_rerun(self, sweep_inputs, tmp_path):
-        cells, factories, datasets = sweep_inputs
-        reference = _run(cells, factories, datasets, checkpoint_dir=tmp_path)
+        cells, run = sweep_inputs
+        reference = _run(cells, run, checkpoint_dir=tmp_path)
         record = tmp_path / cell_key(cells[0]) / "result.pkl"
         record.write_bytes(b"torn write garbage")
         report = _run(
-            cells, factories, datasets, checkpoint_dir=tmp_path, resume=True
+            cells, run, checkpoint_dir=tmp_path, resume=True
         )
         assert report.outcomes[0].cached is False
         assert report.outcomes[0].ok
@@ -172,10 +178,10 @@ class TestSweepResume:
     def test_changed_config_invalidates_cached_cells(self, sweep_inputs, tmp_path):
         """Stale records from a sweep run with different arguments must be
         re-run, not silently served (cell_key doesn't encode epochs/lr)."""
-        cells, factories, datasets = sweep_inputs
-        _run(cells, factories, datasets, checkpoint_dir=tmp_path)
+        cells, run = sweep_inputs
+        _run(cells, run, checkpoint_dir=tmp_path)
         report = run_sweep(
-            cells, factories, datasets, n_proc=1,
+            cells, run, n_proc=1,
             epochs=EPOCHS + 1, batch_size=32, delta_t=3,  # changed budget
             checkpoint_every_steps=1,
             checkpoint_dir=tmp_path, resume=True,

@@ -4,12 +4,39 @@ import numpy as np
 import pytest
 
 from repro.models import MLP
-from repro.sparse import GMPController, MaskedModel, STRController, cubic_sparsity
+from repro.sparse import (
+    DensityBudget,
+    GMPController,
+    MaskedModel,
+    STRController,
+    TrainingSchedule,
+    cubic_sparsity,
+)
 
 
 def dense_masked(seed=0):
     model = MLP(in_features=16, hidden=(24,), num_classes=4, seed=seed)
     return MaskedModel(model, 0.0, distribution="uniform", rng=np.random.default_rng(seed))
+
+
+def gmp(masked, final_sparsity, total_steps, delta_t=100, t_start_fraction=0.1,
+        t_end_fraction=0.7, **kwargs):
+    schedule = TrainingSchedule(
+        total_steps=total_steps, delta_t=delta_t,
+        t_start_fraction=t_start_fraction, t_end_fraction=t_end_fraction,
+    )
+    budget = DensityBudget.from_global(masked.targets, 1.0 - final_sparsity)
+    return GMPController(masked, schedule, budget, **kwargs)
+
+
+def str_prune(masked, final_sparsity, total_steps, delta_t=50, t_start_fraction=0.05,
+              t_end_fraction=0.75):
+    schedule = TrainingSchedule(
+        total_steps=total_steps, delta_t=delta_t,
+        t_start_fraction=t_start_fraction, t_end_fraction=t_end_fraction,
+    )
+    budget = DensityBudget.from_global(masked.targets, 1.0 - final_sparsity)
+    return STRController(masked, schedule, budget)
 
 
 def fill_gradients(masked, rng):
@@ -37,9 +64,8 @@ class TestCubicSchedule:
 class TestGMP:
     def test_reaches_final_sparsity(self):
         masked = dense_masked()
-        controller = GMPController(
-            masked, final_sparsity=0.8, total_steps=100,
-            t_start_fraction=0.1, t_end_fraction=0.7, delta_t=10,
+        controller = gmp(
+            masked, 0.8, 100, t_start_fraction=0.1, t_end_fraction=0.7, delta_t=10,
         )
         rng = np.random.default_rng(0)
         for step in range(1, 101):
@@ -50,7 +76,7 @@ class TestGMP:
 
     def test_sparsity_monotone_nondecreasing(self):
         masked = dense_masked()
-        controller = GMPController(masked, 0.9, total_steps=100, delta_t=10)
+        controller = gmp(masked, 0.9, 100, delta_t=10)
         rng = np.random.default_rng(0)
         history = [masked.global_sparsity()]
         for step in range(1, 101):
@@ -64,9 +90,8 @@ class TestGMP:
         rng = np.random.default_rng(1)
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
-        controller = GMPController(
-            masked, 0.5, total_steps=10, t_start_fraction=0.0,
-            t_end_fraction=0.1, delta_t=1,
+        controller = gmp(
+            masked, 0.5, 10, t_start_fraction=0.0, t_end_fraction=0.1, delta_t=1,
         )
         fill_gradients(masked, rng)
         controller.on_backward(1)  # prunes straight to 0.5
@@ -80,8 +105,8 @@ class TestGMP:
 
     def test_granet_regrow_keeps_target_sparsity(self):
         masked = dense_masked()
-        controller = GMPController(
-            masked, 0.7, total_steps=100, delta_t=10, regrow_fraction=0.5,
+        controller = gmp(
+            masked, 0.7, 100, delta_t=10, regrow_fraction=0.5,
             rng=np.random.default_rng(0),
         )
         rng = np.random.default_rng(2)
@@ -91,12 +116,16 @@ class TestGMP:
         assert masked.global_sparsity() == pytest.approx(0.7, abs=0.03)
 
     def test_invalid_final_sparsity(self):
+        masked = dense_masked()
+        schedule = TrainingSchedule(total_steps=10)
         with pytest.raises(ValueError):
-            GMPController(dense_masked(), 1.0, total_steps=10)
+            GMPController(masked, schedule, DensityBudget.from_targets(masked.targets))
+        with pytest.raises(ValueError):
+            gmp(masked, 1.0, 10)
 
     def test_history_recorded(self):
         masked = dense_masked()
-        controller = GMPController(masked, 0.6, total_steps=50, delta_t=10)
+        controller = gmp(masked, 0.6, 50, delta_t=10)
         rng = np.random.default_rng(0)
         for step in range(1, 51):
             fill_gradients(masked, rng)
@@ -112,9 +141,8 @@ class TestSTR:
         rng = np.random.default_rng(3)
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
-        controller = STRController(
-            masked, final_sparsity=0.85, total_steps=100,
-            t_start_fraction=0.0, t_end_fraction=0.8, delta_t=5,
+        controller = str_prune(
+            masked, 0.85, 100, t_start_fraction=0.0, t_end_fraction=0.8, delta_t=5,
         )
         for step in range(1, 101):
             # Simulate weight drift between shrinkage steps.
@@ -132,15 +160,15 @@ class TestSTR:
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
         before = sum(float(np.abs(t.param.data).sum()) for t in masked.targets)
-        controller = STRController(masked, 0.5, total_steps=10, t_start_fraction=0.0,
-                                   t_end_fraction=0.5, delta_t=1)
+        controller = str_prune(masked, 0.5, 10, t_start_fraction=0.0,
+                               t_end_fraction=0.5, delta_t=1)
         controller.after_step(5)
         after = sum(float(np.abs(t.param.data).sum()) for t in masked.targets)
         assert after < before
 
     def test_gradients_stay_dense(self):
         masked = dense_masked()
-        controller = STRController(masked, 0.8, total_steps=100)
+        controller = str_prune(masked, 0.8, 100)
         assert controller.on_backward(1) is False  # no skip, no masking
 
     def test_masks_track_nonzero_pattern(self):
@@ -148,12 +176,14 @@ class TestSTR:
         rng = np.random.default_rng(5)
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
-        controller = STRController(masked, 0.6, total_steps=10, t_start_fraction=0.0,
-                                   t_end_fraction=0.5, delta_t=1)
+        controller = str_prune(masked, 0.6, 10, t_start_fraction=0.0,
+                               t_end_fraction=0.5, delta_t=1)
         controller.after_step(5)
         for target in masked.targets:
             assert np.array_equal(target.mask, target.param.data != 0.0)
 
     def test_invalid_final_sparsity(self):
+        masked = dense_masked()
+        schedule = TrainingSchedule(total_steps=10)
         with pytest.raises(ValueError):
-            STRController(dense_masked(), 0.0, total_steps=10)
+            STRController(masked, schedule, DensityBudget.from_targets(masked.targets))

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.models import MLP
-from repro.sparse import MaskedModel
+from repro.sparse import MaskedModel, TrainingSchedule
 from repro.sparse.gap import GaPController
 
 
 def make(sparsity=0.8, n_partitions=2, total_steps=100, period=10, seed=0):
     model = MLP(in_features=12, hidden=(16, 12), num_classes=4, seed=seed)
     masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
-    controller = GaPController(
-        masked, total_steps=total_steps, n_partitions=n_partitions, period=period
-    )
+    schedule = TrainingSchedule(total_steps=total_steps, delta_t=period, stop_fraction=0.75)
+    controller = GaPController(masked, schedule, n_partitions=n_partitions, period=period)
     return model, masked, controller
 
 
@@ -103,7 +102,7 @@ class TestGaP:
         model = MLP(in_features=12, hidden=(16,), num_classes=4, seed=0)
         masked = MaskedModel(model, 0.5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            GaPController(masked, total_steps=100, n_partitions=0)
+            GaPController(masked, TrainingSchedule(total_steps=100), n_partitions=0)
 
     def test_partitions_cover_all_layers(self):
         model, masked, controller = make(n_partitions=2)

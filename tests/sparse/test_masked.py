@@ -108,21 +108,23 @@ class TestSetMasks:
         masked = MaskedModel(mlp(), 0.8, rng=np.random.default_rng(0))
         snapshot = masked.masks_snapshot()
         # Flip everything on, then restore.
-        masked.set_masks({name: np.ones_like(m) for name, m in snapshot.items()})
+        masked.set_masks(
+            {name: np.ones_like(m) for name, m in snapshot.items()}, sync_budget=True
+        )
         assert masked.global_density() == pytest.approx(1.0)
-        masked.set_masks(snapshot)
+        masked.set_masks(snapshot, sync_budget=True)
         assert masked.global_sparsity() == pytest.approx(0.8, abs=0.02)
 
     def test_set_masks_unknown_name_raises(self):
         masked = MaskedModel(mlp(), 0.8, rng=np.random.default_rng(0))
         with pytest.raises(KeyError):
-            masked.set_masks({"nope": np.ones((2, 2), dtype=bool)})
+            masked.set_masks({"nope": np.ones((2, 2), dtype=bool)}, sync_budget=True)
 
     def test_set_masks_shape_mismatch_raises(self):
         masked = MaskedModel(mlp(), 0.8, rng=np.random.default_rng(0))
         name = masked.targets[0].name
         with pytest.raises(ValueError, match="mask shape mismatch"):
-            masked.set_masks({name: np.ones((1, 1), dtype=bool)})
+            masked.set_masks({name: np.ones((1, 1), dtype=bool)}, sync_budget=True)
 
     def test_precomputed_masks_constructor(self):
         model = mlp()

@@ -94,6 +94,23 @@ class TestFormat:
         fresh.bit_generator.state = load_training_checkpoint(path)["rng"]
         np.testing.assert_array_equal(fresh.normal(size=10), expected)
 
+    def test_load_closes_the_npz_archive(self, tmp_path, rng, monkeypatch):
+        """An unclosed NpzFile keeps its file handle; leaks pile up across sweep cells."""
+        path = tmp_path / "state.npz"
+        save_training_checkpoint(path, {"arr": rng.normal(size=(8,))})
+        opened = []
+        real_load = np.load
+
+        def tracking_load(*args, **kwargs):
+            archive = real_load(*args, **kwargs)
+            opened.append(archive)
+            return archive
+
+        monkeypatch.setattr(np, "load", tracking_load)
+        load_training_checkpoint(path)
+        assert len(opened) == 1
+        assert opened[0].zip is None  # NpzFile.close() marker
+
 
 class TestLatestCheckpoint:
     def test_missing_directory(self, tmp_path):
