@@ -1,21 +1,28 @@
 """Differentiable 2-D convolution and pooling, implemented with im2col.
 
-These are the performance-critical ops for the VGG/ResNet experiments.  The
-forward pass lowers convolution to a single large matrix multiplication over
-sliding windows (``numpy.lib.stride_tricks.sliding_window_view``); the
-backward pass uses the classic col2im trick of ``KH*KW`` strided slice-adds,
-avoiding any per-pixel Python loops.
+These are the performance-critical ops for the VGG/ResNet experiments.
+Two lowerings live here:
+
+* dense :func:`conv2d` multiplies an ``(N*out_h*out_w, C*kh*kw)`` window
+  matrix (``numpy.lib.stride_tricks.sliding_window_view``) by the filter
+  matrix; its backward uses the classic col2im trick of ``KH*KW``
+  strided slice-adds, avoiding any per-pixel Python loops;
+* the sparse conv kernels (training and serving, :mod:`repro.sparse`)
+  use a batch-innermost lowering, :func:`_im2col_t` / :func:`_col2im_t`:
+  a ``(C*kh*kw, out_h*out_w*N)`` window matrix built from ``kh*kw`` slab
+  copies of a ``(C, H, W, N)`` staging, whose contiguous runs are
+  ``out_w*N`` floats long, and a cached-CSR col2im on the same layout.
 
 The conv pipeline is **allocation-free in steady state** when a
 :class:`ConvWorkspace` is supplied (each :class:`~repro.nn.Conv2d` owns
-one): the contiguous ``cols`` matrix, the padded-input staging buffer, the
-output buffers, the weight/input gradient buffers and the ``col2im``
-scatter scratch are all cached across steps and re-filled in place
-(``np.copyto`` / ``np.matmul(..., out=...)``).  Buffers are invalidated
-automatically on any shape change (e.g. the final short batch, or switching
-between train and eval batch sizes).
+one): the window matrix, the padded-input staging buffer, the output
+buffers, the weight/input gradient buffers and the col2im scratch are all
+cached across steps and re-filled in place (``np.copyto`` /
+``np.matmul(..., out=...)``).  Buffers are invalidated automatically on
+any shape change (e.g. the final short batch, or switching between train
+and eval batch sizes).
 
-All ops use NCHW layout, matching the rest of the library.
+All ops take and return NCHW arrays, matching the rest of the library.
 """
 
 from __future__ import annotations
@@ -26,10 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 try:  # pragma: no cover - scipy ships with the pinned environment
-    import scipy.sparse as _sp
     from scipy.sparse import _sparsetools as _spt
 except ImportError:  # pragma: no cover
-    _sp = None
     _spt = None
 
 from repro.autograd.tensor import Tensor, ensure_tensor
@@ -121,9 +126,7 @@ def _im2col(
     if ph or pw:
         if workspace is not None:
             n_, c_, h_, w_ = x.shape
-            padded = workspace.zeros(
-                "x_padded", (n_, c_, h_ + 2 * ph, w_ + 2 * pw), x.dtype
-            )
+            padded = workspace.zeros("x_padded", (n_, c_, h_ + 2 * ph, w_ + 2 * pw), x.dtype)
             padded[:, :, ph : ph + h_, pw : pw + w_] = x
             x = padded
         else:
@@ -137,9 +140,7 @@ def _im2col(
     return cols, x.shape, out_h, out_w
 
 
-def _contiguous_cols(
-    cols: np.ndarray, workspace: ConvWorkspace | None = None
-) -> np.ndarray:
+def _contiguous_cols(cols: np.ndarray, workspace: ConvWorkspace | None = None) -> np.ndarray:
     """C-contiguous copy of an im2col window view (or the view itself).
 
     An already-contiguous ``cols`` is returned as-is — re-running
@@ -198,21 +199,64 @@ def _col2im(
     return grad_padded
 
 
-# Cached col2im scatter operators, keyed by conv geometry.  Each entry is a
-# CSR matrix (h*w, kh*kw*out_h*out_w) summing window-offset contributions
-# into *interior* (un-padded) image positions — contributions that land in
-# the padding are simply absent, so no work is spent on values the crop
-# would discard.  One entry exists per distinct conv geometry in the model.
-_COL2IM_OPS: dict[tuple, "object"] = {}
-
-
-def _col2im_scatter_op(
-    kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int,
-    ph: int, pw: int, h: int, w: int,
+def _im2col_t(
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    workspace: ConvWorkspace | None = None,
 ):
-    key = (kh, kw, sh, sw, out_h, out_w, ph, pw, h, w)
+    """Batch-innermost windows: the transposed cols matrix of :func:`_im2col`.
+
+    Returns ``(cols_t, out_h, out_w)`` where ``cols_t`` is a C-contiguous
+    ``(C*kh*kw, out_h*out_w*N)`` matrix laid out as ``(C, kh, kw, out_h,
+    out_w, N)``.  The input is staged once, padded, as ``(C, H+2p, W+2p,
+    N)``; each of the ``kh*kw`` window offsets is then one slab copy whose
+    contiguous runs are ``out_w*N`` floats long at stride 1, instead of the
+    ``out_w``-float runs of a transposing copy from NCHW.  With a
+    workspace both buffers are cached; the staging border is zeroed at
+    allocation and never written.
+    """
+    sh, sw = stride
+    ph, pw = padding
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    padded_shape = (c, h + 2 * ph, w + 2 * pw, n)
+    cols_shape = (c, kh, kw, out_h, out_w, n)
+    if workspace is not None:
+        padded = workspace.zeros("x_padded_t", padded_shape, x.dtype)
+        cols_t = workspace.get("cols_t", cols_shape, x.dtype)
+    else:
+        padded = np.zeros(padded_shape, dtype=x.dtype)
+        cols_t = np.empty(cols_shape, dtype=x.dtype)
+    np.copyto(padded[:, ph : ph + h, pw : pw + w], x.transpose(1, 2, 3, 0))
+    for i in range(kh):
+        for j in range(kw):
+            np.copyto(
+                cols_t[:, i, j],
+                padded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw],
+            )
+    return cols_t.reshape(c * kh * kw, out_h * out_w * n), out_h, out_w
+
+
+# Cached col2im scatter operators, keyed by conv geometry and channel
+# count.  Each entry is the ``(indptr, indices, data)`` CSR triplet of a
+# block-diagonal ``(C*h*w, C*kh*kw*out_h*out_w)`` matrix — one block per
+# channel — summing window-offset contributions into *interior*
+# (un-padded) image positions; contributions that land in the padding are
+# simply absent, so no work is spent on values a crop would discard.
+_COL2IM_OPS: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _col2im_scatter_op(c: int, h: int, w: int, kh: int, kw: int, stride, padding):
+    key = (c, h, w, kh, kw, stride, padding)
     op = _COL2IM_OPS.get(key)
     if op is None:
+        (sh, sw), (ph, pw) = stride, padding
+        out_h = conv_output_size(h, kh, sh, ph)
+        out_w = conv_output_size(w, kw, sw, pw)
         i = np.arange(kh).reshape(-1, 1, 1, 1)
         j = np.arange(kw).reshape(1, -1, 1, 1)
         y = np.arange(out_h).reshape(1, 1, -1, 1)
@@ -221,19 +265,26 @@ def _col2im_scatter_op(
         px = j + sw * x - pw
         valid = (py >= 0) & (py < h) & (px >= 0) & (px < w)
         p = np.broadcast_to(py * w + px, valid.shape)[valid]
-        q = np.arange(kh * kw * out_h * out_w).reshape(valid.shape)[valid]
-        op = _sp.csr_matrix(
-            (np.ones(p.size, dtype=np.float32), (p, q)),
-            shape=(h * w, kh * kw * out_h * out_w),
-        )
-        op.sort_indices()
+        q = np.flatnonzero(valid)
+        # Stable sort by image position keeps each row's window offsets in
+        # ascending (i, j) order: the slice-add loop's accumulation order.
+        order = np.argsort(p, kind="stable")
+        q_dim = kh * kw * out_h * out_w
+        nnz = q.size
+        counts = np.bincount(p, minlength=h * w)
+        row_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        channels = np.arange(c)
+        indptr = np.empty(c * h * w + 1, dtype=np.int32)
+        indptr[:-1] = (row_starts[None, :] + nnz * channels[:, None]).reshape(-1)
+        indptr[-1] = c * nnz
+        indices = (q[order][None, :] + q_dim * channels[:, None]).astype(np.int32).reshape(-1)
+        op = (indptr, indices, np.ones(c * nnz, dtype=np.float32))
         _COL2IM_OPS[key] = op
     return op
 
 
 def _col2im_t(
     grad_cols_t: np.ndarray,
-    padded_shape: tuple[int, ...],
     kh: int,
     kw: int,
     stride: tuple[int, int],
@@ -241,69 +292,54 @@ def _col2im_t(
     out_shape: tuple[int, ...],
     workspace: ConvWorkspace | None = None,
 ) -> np.ndarray:
-    """:func:`_col2im` for channel-major window gradients.
+    """Adjoint of :func:`_im2col_t`: scatter window gradients to NCHW.
 
-    ``grad_cols_t`` has shape ``(C, kh, kw, N, out_h, out_w)`` — the natural
-    output layout of the BSR input-gradient matmul (``(C*kh*kw, N*H'*W')``
-    reshaped).  Instead of :func:`_col2im`'s ``kh*kw`` strided slice-adds
-    (whose tiny spatial inner loops dominate at this library's image
-    sizes), the scatter is one CSR product with a cached per-geometry
-    operator over a ``(window offsets, C*N)`` staging of the gradient; the
-    per-position accumulation order matches the slice-add loop's ``(i, j)``
-    ascending order bitwise.  Falls back to slice-adds without scipy.
+    ``grad_cols_t`` is a C-contiguous ``(C*kh*kw, out_h*out_w*N)`` matrix
+    in :func:`_im2col_t`'s layout — the natural output of the BSR
+    input-gradient matmul.  Its rows are already ``(window offset, N)``
+    vectors per channel, so the scatter is one CSR product with a cached
+    per-geometry block-diagonal operator and no staging copy; each
+    position accumulates in the slice-add loop's ascending ``(i, j)``
+    order.  The ``(C, h, w, N)`` result is transposed back to NCHW into a
+    base array (a cached one with a workspace).  Falls back to slice-adds
+    without scipy.
     """
-    sh, sw = stride
-    ph, pw = padding
-    c, _, _, n, out_h, out_w = grad_cols_t.shape
-    h, w = out_shape[2], out_shape[3]
+    n, c, h, w = out_shape
+    dtype = grad_cols_t.dtype
     if _spt is not None:
-        op = _col2im_scatter_op(kh, kw, sh, sw, out_h, out_w, ph, pw, h, w)
-        q_dim, v_dim = kh * kw * out_h * out_w, c * n
+        op = _col2im_scatter_op(c, h, w, kh, kw, stride, padding)
         if workspace is not None:
-            staged = workspace.get("col2im_g", (q_dim, v_dim), grad_cols_t.dtype)
-            scattered = workspace.get("col2im_p", (h * w, v_dim), grad_cols_t.dtype)
+            scattered = workspace.get("col2im_t", (c, h, w, n), dtype)
+            scattered.fill(0)
         else:
-            staged = np.empty((q_dim, v_dim), dtype=grad_cols_t.dtype)
-            scattered = np.empty((h * w, v_dim), dtype=grad_cols_t.dtype)
-        np.copyto(
-            staged.reshape(kh, kw, out_h, out_w, c, n),
-            grad_cols_t.transpose(1, 2, 4, 5, 0, 3),
-        )
-        scattered.fill(0)
-        _spt.csr_matvecs(
-            h * w, q_dim, v_dim, op.indptr, op.indices, op.data,
-            staged.ravel(), scattered.ravel(),
-        )
-        src = scattered.reshape(h, w, c, n).transpose(3, 2, 0, 1)
-        if workspace is not None:
-            grad_x = workspace.get("grad_x", out_shape, grad_cols_t.dtype)
-            np.copyto(grad_x, src)
-            return grad_x
-        return np.ascontiguousarray(src)
-    padded_t_shape = (c, n, padded_shape[2], padded_shape[3])
-    if workspace is not None:
-        grad_padded = workspace.get(
-            "col2im_scratch_t", padded_t_shape, grad_cols_t.dtype
-        )
-        grad_padded.fill(0)
+            scattered = np.zeros((c, h, w, n), dtype=dtype)
+        q_dim = grad_cols_t.size // n
+        _spt.csr_matvecs(c * h * w, q_dim, n, *op, grad_cols_t.ravel(), scattered.ravel())
     else:
-        grad_padded = np.zeros(padded_t_shape, dtype=grad_cols_t.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            grad_padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += (
-                grad_cols_t[:, i, j]
-            )
-    cropped = grad_padded[:, :, ph : ph + h, pw : pw + w]
+        (sh, sw), (ph, pw) = stride, padding
+        out_h = conv_output_size(h, kh, sh, ph)
+        out_w = conv_output_size(w, kw, sw, pw)
+        moved = grad_cols_t.reshape(c, kh, kw, out_h, out_w, n)
+        padded_shape = (c, h + 2 * ph, w + 2 * pw, n)
+        if workspace is not None:
+            grad_padded = workspace.get("col2im_scratch_t", padded_shape, dtype)
+            grad_padded.fill(0)
+        else:
+            grad_padded = np.zeros(padded_shape, dtype=dtype)
+        for i in range(kh):
+            for j in range(kw):
+                grad_padded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += moved[:, i, j]
+        scattered = grad_padded[:, ph : ph + h, pw : pw + w]
+    src = scattered.transpose(3, 0, 1, 2)
     if workspace is not None:
-        grad_x = workspace.get("grad_x", out_shape, grad_cols_t.dtype)
-        np.copyto(grad_x, cropped.transpose(1, 0, 2, 3))
+        grad_x = workspace.get("grad_x", out_shape, dtype)
+        np.copyto(grad_x, src)
         return grad_x
-    return np.ascontiguousarray(cropped.transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(src)
 
 
 def _stage_grad_mat(
-    grad: np.ndarray, n: int, out_h: int, out_w: int, c_out: int,
-    workspace: ConvWorkspace | None,
+    grad: np.ndarray, n: int, out_h: int, out_w: int, c_out: int, workspace: ConvWorkspace | None
 ) -> np.ndarray:
     """Output gradient ``(N, C_out, H', W')`` as a C-contiguous 2-D matrix.
 
@@ -318,8 +354,7 @@ def _stage_grad_mat(
 
 
 def _accumulate_grad_w(
-    weight, grad_mat: np.ndarray, cols_mat: np.ndarray,
-    workspace: ConvWorkspace | None,
+    weight, grad_mat: np.ndarray, cols_mat: np.ndarray, workspace: ConvWorkspace | None
 ) -> None:
     """Accumulate the dense weight gradient ``grad_matᵀ @ cols_mat``.
 
@@ -373,13 +408,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
     if x.shape[1] != c_in:
         raise ValueError(f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {c_in}")
 
-    cols, padded_shape, out_h, out_w = _im2col(
-        x.data, kh, kw, stride_hw, padding_hw, workspace
-    )
+    cols, padded_shape, out_h, out_w = _im2col(x.data, kh, kw, stride_hw, padding_hw, workspace)
     n = x.shape[0]
-    cols_mat = _contiguous_cols(cols, workspace).reshape(
-        n * out_h * out_w, c_in * kh * kw
-    )
+    cols_mat = _contiguous_cols(cols, workspace).reshape(n * out_h * out_w, c_in * kh * kw)
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
     if workspace is not None:
         out_mat = workspace.get("out_mat", (n * out_h * out_w, c_out), cols_mat.dtype)
@@ -412,9 +443,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
                 grad_cols = grad_cols.reshape(n, out_h, out_w, c_in, kh, kw)
             else:
                 grad_cols = (grad_mat @ w_mat).reshape(n, out_h, out_w, c_in, kh, kw)
+            x_workspace = _input_grad_workspace(x, workspace)
             grad_x = _col2im(
-                grad_cols, padded_shape, kh, kw, stride_hw, padding_hw, x.shape,
-                _input_grad_workspace(x, workspace),
+                grad_cols, padded_shape, kh, kw, stride_hw, padding_hw, x.shape, x_workspace
             )
             x._accumulate(grad_x)
         if bias_t is not None and bias_t.requires_grad:
@@ -487,9 +518,7 @@ def max_pool2d(x, kernel_size, stride=None) -> Tensor:
         # zeroed scatter target each call.
         # reprolint: disable-next=RPL005
         grad_cols = np.zeros((n, out_h, out_w, c, kh * kw), dtype=grad.dtype)
-        np.put_along_axis(
-            grad_cols, arg[..., None], grad.transpose(0, 2, 3, 1)[..., None], axis=-1
-        )
+        np.put_along_axis(grad_cols, arg[..., None], grad.transpose(0, 2, 3, 1)[..., None], axis=-1)
         grad_cols = grad_cols.reshape(n, out_h, out_w, c, kh, kw)
         grad_x = _col2im(grad_cols, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
         x._accumulate(grad_x)
@@ -515,7 +544,8 @@ def avg_pool2d(x, kernel_size, stride=None) -> Tensor:
         # _col2im's add.at needs a real (writable, contiguous) array, not the
         # zero-stride broadcast view; this materialization is that copy.
         # reprolint: disable-next=RPL005
-        grad_x = _col2im(np.ascontiguousarray(spread), padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
+        dense_spread = np.ascontiguousarray(spread)
+        grad_x = _col2im(dense_spread, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.autograd.conv import _im2col
+from repro.autograd.conv import _im2col_t, _pair
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 from repro.sparse.blocks import expand_block_csr
@@ -214,7 +214,9 @@ class SparseLinear(_CompiledLayer):
 
 
 class SparseConv2d(_CompiledLayer):
-    """Inference-only conv layer: im2col + block-CSR filter-matrix product."""
+    """Inference-only conv layer: batch-innermost im2col + block-CSR
+    filter-matrix product, the lowering of the training
+    :class:`~repro.sparse.kernels.Conv2dKernel`."""
 
     def __init__(self, dense: nn.Conv2d, block_size: int = 1, active_blocks=None):
         super().__init__()
@@ -279,14 +281,10 @@ class SparseConv2d(_CompiledLayer):
                 f"SparseConv2d expects (N, {self.in_channels}, H, W) input, got shape {data.shape}"
             )
         kh, kw = self.kernel_size
-        stride = self.stride if isinstance(self.stride, tuple) else (self.stride, self.stride)
-        padding = self.padding if isinstance(self.padding, tuple) else (self.padding, self.padding)
-        cols, _, out_h, out_w = _im2col(data, kh, kw, stride, padding)
-        n = data.shape[0]
-        # (C*kh*kw, N*oh*ow) so the filter matrix multiplies from the left.
-        cols_t = cols.transpose(3, 4, 5, 0, 1, 2).reshape(self.in_channels * kh * kw, -1)
+        # (C*kh*kw, oh*ow*N) so the filter matrix multiplies from the left.
+        cols_t, out_h, out_w = _im2col_t(data, kh, kw, _pair(self.stride), _pair(self.padding))
         out_t = self._product(cols_t)
-        out = out_t.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
+        out = out_t.reshape(self.out_channels, out_h, out_w, data.shape[0]).transpose(3, 0, 1, 2)
         return Tensor(np.ascontiguousarray(out))
 
     def __repr__(self) -> str:

@@ -20,13 +20,17 @@ module provides that compute path:
   on ``module.forward_backend`` (see :mod:`repro.nn.linear` /
   :mod:`repro.nn.conv`).  They run the masked forward through the sparse
   matmul and register an autograd closure whose input gradient also uses
-  the sparse structure.  The **weight** gradient is the dense GEMM
-  ``gradᵀ @ x``: growth rules (RigL, DST-EE, SNFS) score *inactive*
-  weights by dense-gradient magnitude, so it is part of the algorithm, not
-  overhead.  Between mask updates (``dense_grads_required`` False) layers
-  with ``block_size > 1`` compute active tiles only (a block SDDMM); at
-  block size 1 that per-element SDDMM measured 3.6× slower than the GEMM
-  (docs/performance.md), so the GEMM always runs there.
+  the sparse structure.  Convolutions lower through the batch-innermost
+  ``(C*kh*kw, oh*ow*N)`` window matrix of
+  :func:`repro.autograd.conv._im2col_t`, which serving's
+  :class:`~repro.sparse.inference.SparseConv2d` shares.  The **weight**
+  gradient is the dense GEMM ``gradᵀ @ x``: growth rules (RigL, DST-EE,
+  SNFS) score *inactive* weights by dense-gradient magnitude, so it is
+  part of the algorithm, not overhead.  Between mask updates
+  (``dense_grads_required`` False) layers with ``block_size > 1`` compute
+  active tiles only (a block SDDMM); at block size 1 that per-element
+  SDDMM measured 3.6× slower than the GEMM (docs/performance.md), so the
+  GEMM always runs there.
 * A dispatch layer: per layer, ``dense`` vs ``csr``/``bsr`` is
   auto-selected from the layer's density, size and mask granularity; the
   mode and thresholds are overridable per call or process-wide via
@@ -51,7 +55,7 @@ from repro import nn
 from repro.autograd.conv import (
     _accumulate_grad_w,
     _col2im_t,
-    _im2col,
+    _im2col_t,
     _input_grad_workspace,
     _pair,
 )
@@ -138,6 +142,11 @@ def select_backend(
     if size >= min_size and density <= density_threshold:
         return "bsr" if block_size > 1 else "csr"
     return "dense"
+
+
+# Floats per operand in one chunk of the tile weight-gradient gathers:
+# 256 KiB, so a chunk's operands stay cache-resident for its matmul.
+_TILE_CHUNK = 1 << 16
 
 
 class BsrMatmul:
@@ -344,9 +353,25 @@ class BsrMatmul:
         """
         b = self.block_size
         rows, cols = self.shape2d
-        g3 = g_t.reshape(rows // b, b, g_t.shape[1])
-        x3 = x_t.reshape(cols // b, b, x_t.shape[1])
-        tiles = np.matmul(g3[self._brows], x3[self._bcols].transpose(0, 2, 1))
+        m = g_t.shape[1]
+        g3 = g_t.reshape(rows // b, b, m)
+        x3 = x_t.reshape(cols // b, b, m)
+        tiles = self.buffer("tiles", (self._brows.size, b, b))
+        # Gather the operand tiles chunk by chunk into a small cached
+        # scratch.  Fresh gathers of the whole active set are a few MB per
+        # layer per step, which the allocator may hand back to the OS and
+        # page-fault in again on every call.  ``mode="clip"`` (the indices
+        # are in range) because ``take`` buffers ``out`` under the default.
+        step = max(1, _TILE_CHUNK // (b * m))
+        scratch = self.buffer("tile_scratch", (2 * step * b * m,))
+        for start in range(0, self._brows.size, step):
+            stop = min(start + step, self._brows.size)
+            size = (stop - start) * b * m
+            g_tiles = scratch[:size].reshape(-1, b, m)
+            x_tiles = scratch[size : 2 * size].reshape(-1, b, m)
+            np.take(g3, self._brows[start:stop], axis=0, out=g_tiles, mode="clip")
+            np.take(x3, self._bcols[start:stop], axis=0, out=x_tiles, mode="clip")
+            np.matmul(g_tiles, x_tiles.transpose(0, 2, 1), out=tiles[start:stop])
         grad_w.reshape(-1)[self._scatter] = tiles.reshape(-1)
 
 
@@ -396,7 +421,7 @@ class _KernelBase:
         return self._choice
 
 
-def _zeroed_grad_w(weight, workspace, matmul: BsrMatmul) -> np.ndarray:
+def _zeroed_grad_w(weight, matmul: BsrMatmul) -> np.ndarray:
     """Zeroed dense weight-gradient buffer for the sparse scatter path.
 
     Uses the matmul's zero-once cache unless a previous accumulation is
@@ -418,6 +443,9 @@ class LinearKernel(_KernelBase):
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
         super().__init__(module, target, mode, density_threshold, min_size)
         self.matmul = BsrMatmul(module.weight.shape, target.block_size)
+        # Forwards so far, and the one whose input the cached ``xT`` holds.
+        self._calls = 0
+        self._staged_call = 0
 
     def __call__(self, x) -> Tensor | None:
         if self.backend() == "dense":
@@ -440,6 +468,8 @@ class LinearKernel(_KernelBase):
         # out.T = W @ x.T lands C-contiguous and out is its free F view.
         x_t = matmul.buffer("xT", (in_features, n))
         np.copyto(x_t, data.T)
+        self._calls += 1
+        call = self._staged_call = self._calls
         # Fresh output, like the dense path: a layer called twice before
         # backward (e.g. one discriminator on real and fake batches) must
         # not see its first output, which downstream closures keep,
@@ -459,7 +489,12 @@ class LinearKernel(_KernelBase):
                     # and always at block size 1, where the GEMM wins.
                     weight._accumulate(grad.T @ data)
                 else:
-                    grad_w = _zeroed_grad_w(weight, None, matmul)
+                    if self._staged_call != call:
+                        # A later forward of this layer (one discriminator
+                        # on real and fake batches) restaged ``xT``.
+                        np.copyto(x_t, data.T)
+                        self._staged_call = call
+                    grad_w = _zeroed_grad_w(weight, matmul)
                     matmul.scatter_grad_w(g_t, x_t, grad_w)
                     weight._accumulate(grad_w)
             if x.requires_grad:
@@ -502,12 +537,14 @@ class Conv2dKernel(_KernelBase):
 
     def _forward(self, x, data: np.ndarray) -> Tensor:
         """Sparse im2col conv: every filter-matrix product keeps the sparse
-        operand on the left over transposed C-contiguous stagings.
+        operand on the left over batch-innermost C-contiguous stagings.
 
-        Only the transposed cols matrix ``(C*kh*kw, N*oh*ow)`` is staged —
-        the weight gradient GEMM consumes its F-contiguous transpose view
-        directly (BLAS handles the flag), so the untransposed cols matrix
-        is never materialized.
+        Only the transposed cols matrix ``(C*kh*kw, oh*ow*N)`` is staged
+        (:func:`~repro.autograd.conv._im2col_t`) — the weight gradient GEMM
+        consumes its F-contiguous transpose view directly (BLAS handles the
+        flag), so the untransposed cols matrix is never materialized.  The
+        output and the upstream gradient move between NCHW and the
+        ``(C_out, oh*ow*N)`` product layout by batch-last transposes.
         """
         module = self.module
         weight = module.weight
@@ -515,24 +552,16 @@ class Conv2dKernel(_KernelBase):
         matmul = self.matmul
         tile_grads = matmul.block_size > 1
         c_out, c_in, kh, kw = weight.shape
-        ckk = c_in * kh * kw
         stride = _pair(module.stride)
         padding = _pair(module.padding)
         workspace = getattr(module, "workspace", None)
         matmul.sync(weight.data.reshape(-1), self.target)
 
-        cols, padded_shape, out_h, out_w = _im2col(data, kh, kw, stride, padding, workspace)
+        cols_t, out_h, out_w = _im2col_t(data, kh, kw, stride, padding, workspace)
         n = data.shape[0]
-        m = n * out_h * out_w
-        cols_t = matmul.buffer("colsT", (ckk, m))
-        np.copyto(
-            cols_t.reshape(c_in, kh, kw, n, out_h, out_w),
-            cols.transpose(3, 4, 5, 0, 1, 2),
-        )
-        out_t = matmul.matmul_wx(
-            cols_t, None if bias is None else bias.data
-        )  # (c_out, N*oh*ow) C-contiguous
-        src = out_t.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+        m = out_h * out_w * n
+        out_t = matmul.matmul_wx(cols_t, None if bias is None else bias.data)
+        src = out_t.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2)
         if workspace is not None:
             out_data = workspace.get("out", (n, c_out, out_h, out_w), np.float32)
             np.copyto(out_data, src)
@@ -543,30 +572,20 @@ class Conv2dKernel(_KernelBase):
 
         def backward(grad: np.ndarray) -> None:
             grad_mat_t = matmul.buffer("gradT", (c_out, m))
-            np.copyto(grad_mat_t.reshape(c_out, n, out_h, out_w), grad.transpose(1, 0, 2, 3))
+            np.copyto(grad_mat_t.reshape(c_out, out_h, out_w, n), grad.transpose(1, 2, 3, 0))
             if weight.requires_grad:
                 if self.target.dense_grads_required or not tile_grads:
                     # Dense at update steps (growth scores inactive weights)
                     # and always at block size 1, where the GEMM wins.
                     _accumulate_grad_w(weight, grad_mat_t.T, cols_t.T, workspace)
                 else:
-                    grad_w = _zeroed_grad_w(weight, workspace, matmul)
+                    grad_w = _zeroed_grad_w(weight, matmul)
                     matmul.scatter_grad_w(grad_mat_t, cols_t, grad_w)
                     weight._accumulate(grad_w)
             if x.requires_grad:
-                grad_cols_t = matmul.matmul_wtg(grad_mat_t)  # (ckk, N*oh*ow)
-                x._accumulate(
-                    _col2im_t(
-                        grad_cols_t.reshape(c_in, kh, kw, n, out_h, out_w),
-                        padded_shape,
-                        kh,
-                        kw,
-                        stride,
-                        padding,
-                        x.shape,
-                        _input_grad_workspace(x, workspace),
-                    )
-                )
+                grad_cols_t = matmul.matmul_wtg(grad_mat_t)  # (C*kh*kw, oh*ow*N)
+                x_workspace = _input_grad_workspace(x, workspace)
+                x._accumulate(_col2im_t(grad_cols_t, kh, kw, stride, padding, x.shape, x_workspace))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
 

@@ -307,10 +307,17 @@ class TestOneKernelParity:
             np.testing.assert_array_equal(gw_s[~mask], 0.0)
             assert np.any(gw_d[~mask] != 0.0)
 
-    @pytest.mark.parametrize("block_size", [1, 4])
-    def test_linear_called_twice_before_backward(self, block_size):
-        """Two forwards of one layer in one graph keep distinct outputs."""
+    @pytest.mark.parametrize(
+        "block_size, dense_grads_required",
+        [(1, True), (4, True), (1, False), (4, False)],
+        ids=["1", "4", "1-dense-grads-off", "4-dense-grads-off"],
+    )
+    def test_linear_called_twice_before_backward(self, block_size, dense_grads_required):
+        """Two forwards of one layer in one graph keep distinct inputs and
+        outputs (one discriminator on real and fake batches); between mask
+        updates the tile weight gradient must read each call's own input."""
         layer, masked, _ = _single_layer("linear", block_size)
+        target = masked.targets[0]
         rng = np.random.default_rng(3)
         x1, x2 = (rng.standard_normal((5, 24)).astype(np.float32) for _ in range(2))
 
@@ -320,12 +327,16 @@ class TestOneKernelParity:
             (a * b).sum().backward()  # mul's backward reads both outputs
             return layer.weight.grad.copy(), layer.bias.grad.copy()
 
-        dense = product_grads()
+        dense_w, dense_b = product_grads()
         install_training_backends(masked, mode="csr" if block_size == 1 else "bsr", min_size=1)
-        sparse = product_grads()
+        target.dense_grads_required = dense_grads_required
+        sparse_w, sparse_b = product_grads()
         remove_training_backends(layer)
-        for got, want in zip(sparse, dense):
-            np.testing.assert_allclose(got, want, atol=1e-4)
+        np.testing.assert_allclose(sparse_b, dense_b, atol=1e-4)
+        if dense_grads_required or block_size == 1:
+            np.testing.assert_allclose(sparse_w, dense_w, atol=1e-4)
+        else:
+            np.testing.assert_allclose(sparse_w, dense_w * target.mask, atol=1e-4)
 
 
 class TestCachedIndexProperty:
